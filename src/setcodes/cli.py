@@ -113,14 +113,16 @@ def parse_code_file(text: str) -> tuple[str, SetNCode]:
             if pending is None:
                 raise ValueError(f"line {lineno}: end without a class block")
             check = pending["check"]
-            components[-1].append(
-                LengthClass(
+            try:
+                cls = LengthClass(
                     length=pending["length"],
                     words=tuple(pending["words"]),
                     check=tuple(check) if check else None,
                     message_length=pending["k"],
                 )
-            )
+            except (SetCodeError, ValueError) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from exc
+            components[-1].append(cls)
             pending = None
             continue
         raise ValueError(f"line {lineno}: cannot parse {line!r}")
@@ -178,6 +180,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_encode(args) -> int:
     _, ncode = load_code_file(args.file)
+    if not 1 <= args.component <= ncode.arity:
+        raise ValueError(f"component {args.component} outside 1..{ncode.arity}")
     comp = ncode.components[args.component - 1]
     if args.length is not None:
         cls = comp.class_of(args.length)

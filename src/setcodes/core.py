@@ -7,7 +7,7 @@ it explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .errors import (
@@ -106,11 +106,13 @@ class LengthClass:
     words: tuple[Word, ...]
     check: Matrix | None = None
     message_length: int | None = None
+    _word_set: frozenset[Word] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("length must be positive")
-        canon = tuple(sorted(set(tuple(w) for w in self.words)))
+        word_set = frozenset(tuple(w) for w in self.words)
+        canon = tuple(sorted(word_set))
         if not canon:
             raise ValueError("a class needs at least one word")
         for w in canon:
@@ -121,6 +123,7 @@ class LengthClass:
             if any(b not in (0, 1) for b in w):
                 raise ValueError("words must be binary")
         object.__setattr__(self, "words", canon)
+        object.__setattr__(self, "_word_set", word_set)
         if self.check is not None:
             check = tuple(tuple(r) for r in self.check)
             for row in check:
@@ -138,7 +141,7 @@ class LengthClass:
             raise ValueError("message length must sit strictly inside the word length")
 
     def contains(self, w: Word) -> bool:
-        return tuple(w) in set(self.words)
+        return tuple(w) in self._word_set
 
     def syndrome(self, received: Word) -> Word:
         if self.check is None:
@@ -155,16 +158,14 @@ class LengthClass:
         return self.contains(received)
 
     def is_linear(self) -> bool:
-        ws = set(self.words)
-        if gf2.zeros(self.length) not in ws:
-            return False
-        return all(gf2.xor(a, b) in ws for a in ws for b in ws)
+        return gf2.subspace_basis(self._word_set) is not None
 
     def basis(self) -> Matrix:
         """Reduced basis of the words; they must form a subspace."""
-        if not self.is_linear():
+        basis = gf2.subspace_basis(self._word_set)
+        if basis is None:
             raise NotLinear("basis needs words closed under addition with zero")
-        return gf2.row_basis(self.words)
+        return basis
 
     def generator(self) -> Matrix:
         if self.check is None:
@@ -239,7 +240,7 @@ class SetCode:
     def syndrome(self, received: Word) -> Word:
         return self.class_of(len(received)).syndrome(received)
 
-    def dual(self, restrict_to: int | None = None, cap: int = gf2.SPAN_CAP) -> SetCode:
+    def dual(self, restrict_to: int | None = None) -> SetCode:
         """Componentwise orthogonal complement, one class per input class.
 
         The full dual of a class is every same-length word orthogonal to all
@@ -254,9 +255,7 @@ class SetCode:
             primal = gf2.row_basis(cls.words)
             null = gf2.nullspace_basis(primal, ncols=cls.length)
             # A full-rank class leaves only the zero word orthogonal to it.
-            dual_words = (
-                sorted(gf2.span(null, cap=cap)) if null else [gf2.zeros(cls.length)]
-            )
+            dual_words = sorted(gf2.span(null)) if null else [gf2.zeros(cls.length)]
             if restrict_to is None:
                 out.append(
                     LengthClass(

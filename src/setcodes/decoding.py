@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from . import gf2
 from .core import LengthClass, pseudo_inner
 from .errors import (
-    CapExceeded,
     EmptyBasis,
     LengthMismatch,
     NotLinear,
@@ -91,11 +90,18 @@ class StandardArray:
     words: tuple[Word, ...]
     check: Matrix
     leaders: dict[Word, Word]
-    cosets: dict[Word, tuple[Word, ...]]
+
+    @property
+    def cosets(self) -> dict[Word, tuple[Word, ...]]:
+        """Every coset, sorted, keyed by syndrome; computed on each access."""
+        return {
+            syn: tuple(sorted(gf2.xor(leader, w) for w in self.words))
+            for syn, leader in self.leaders.items()
+        }
 
     @property
     def coset_count(self) -> int:
-        return len(self.cosets)
+        return len(self.leaders)
 
     @property
     def coset_size(self) -> int:
@@ -130,27 +136,17 @@ class StandardArray:
         )
 
 
-def build_standard_array(words, cap: int = gf2.SPAN_CAP) -> StandardArray:
+def build_standard_array(words) -> StandardArray:
     """Partition the whole length-n space into cosets of the given words."""
     ws = tuple(sorted(set(tuple(w) for w in words)))
-    if not ws:
-        raise NotLinear("no words")
-    n = len(ws[0])
-    zero = gf2.zeros(n)
-    word_set = set(ws)
-    if zero not in word_set or any(
-        gf2.xor(a, b) not in word_set for a in ws for b in ws
-    ):
+    basis = gf2.subspace_basis(ws)
+    if basis is None:
         raise NotLinear("standard array needs words closed under addition with zero")
-    if n > cap:
-        raise CapExceeded(f"standard array over 2**{n} words exceeds 2**{cap}")
-    basis = gf2.row_basis(ws)
+    n = len(ws[0])
     check = gf2.nullspace_basis(basis, ncols=n)
     leaders: dict[Word, Word] = {}
-    cosets: dict[Word, list[Word]] = {}
-    for w in gf2.all_words(n, cap=cap):
+    for w in gf2.all_words(n):
         syn = gf2.matvec(check, w)
-        cosets.setdefault(syn, []).append(w)
         cur = leaders.get(syn)
         if (
             cur is None
@@ -158,13 +154,7 @@ def build_standard_array(words, cap: int = gf2.SPAN_CAP) -> StandardArray:
             or (gf2.weight(w) == gf2.weight(cur) and w > cur)
         ):
             leaders[syn] = w
-    return StandardArray(
-        length=n,
-        words=ws,
-        check=check,
-        leaders=leaders,
-        cosets={s: tuple(members) for s, members in cosets.items()},
-    )
+    return StandardArray(length=n, words=ws, check=check, leaders=leaders)
 
 
 # One array per distinct word set; concurrent builders may race but produce
@@ -172,11 +162,11 @@ def build_standard_array(words, cap: int = gf2.SPAN_CAP) -> StandardArray:
 _ARRAY_CACHE: dict[frozenset[Word], StandardArray] = {}
 
 
-def standard_array(words, cap: int = gf2.SPAN_CAP) -> StandardArray:
+def standard_array(words) -> StandardArray:
     key = frozenset(tuple(w) for w in words)
     hit = _ARRAY_CACHE.get(key)
     if hit is None:
-        hit = build_standard_array(words, cap=cap)
+        hit = build_standard_array(words)
         _ARRAY_CACHE[key] = hit
     return hit
 

@@ -149,6 +149,17 @@ def row_basis(rows: Matrix) -> Matrix:
     return row_reduce(rows)[0]
 
 
+def subspace_basis(words) -> Matrix | None:
+    """Reduced basis of the distinct words when they form a subspace, else None.
+
+    The words lie in their own span, which holds 2**rank words, so they are
+    the whole span (zero included) exactly when there are 2**rank of them.
+    """
+    ws = set(words)
+    basis = row_basis(tuple(ws))
+    return basis if len(ws) == 1 << len(basis) else None
+
+
 def nullspace_basis(m: Matrix, ncols: int | None = None) -> Matrix:
     """Basis of the right nullspace of m.
 

@@ -16,7 +16,7 @@ from .decoding import (
     nn_decode,
     pba_decode_with_retry,
 )
-from .errors import ArityMismatch, MissingParityCheck, PatternMismatch
+from .errors import ArityMismatch, PatternMismatch
 from .gf2 import Word
 
 ABSENT_MARK = "-"
@@ -160,34 +160,15 @@ class SetNCode:
 
     def classify(self) -> tuple[str, ...]:
         """Labels that hold across all components at once."""
-        comps = self.components
-        labels = ["set"]
-        if all(c.is_repetition() for c in comps):
-            labels.append("repetition")
-        if all(c.is_parity_check() for c in comps):
-            labels.append("parity check")
-        try:
-            if all(c.is_hamming() for c in comps):
-                labels.append("hamming")
-        except MissingParityCheck:
-            pass
-        ms = [c.m_weight() for c in comps]
-        if None not in ms and len(set(ms)) == 1:
-            labels.append(f"{ms[0]}-weight")
-        if all(c.is_cyclic() for c in comps):
-            labels.append("cyclic")
-        if all(c.is_semigroup() for c in comps):
-            labels.append("semigroup")
-            labels.append("group")
+        first, *rest = (c.classify() for c in self.components)
+        labels = [label for label in first if all(label in other for other in rest)]
         bw = self.biweight()
         if bw is not None:
             labels.append(f"({bw[0]},{bw[1]})-biweight")
         return tuple(labels)
 
-    def dual(self, restrict_to: int | None = None, cap: int = gf2.SPAN_CAP) -> SetNCode:
-        return SetNCode(
-            tuple(c.dual(restrict_to=restrict_to, cap=cap) for c in self.components)
-        )
+    def dual(self, restrict_to: int | None = None) -> SetNCode:
+        return SetNCode(tuple(c.dual(restrict_to=restrict_to) for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -198,7 +179,7 @@ class ComplementKind:
     notes: tuple[str, ...] = ()
 
 
-def is_complementing_bicode(ncode: SetNCode, cap: int = gf2.SPAN_CAP) -> ComplementKind:
+def is_complementing_bicode(ncode: SetNCode) -> ComplementKind:
     """Second component words must lie in the dual of the first, position
     by position.
 
@@ -221,10 +202,6 @@ def is_complementing_bicode(ncode: SetNCode, cap: int = gf2.SPAN_CAP) -> Complem
         if not primal:
             notes.append(f"position {pos}: dual is the full space")
             continue
-        null = gf2.nullspace_basis(primal, ncols=a.length)
-        dual_words = (
-            gf2.span(null, cap=cap) if null else frozenset({gf2.zeros(a.length)})
-        )
-        if not set(b.words) <= dual_words:
+        if any(any(gf2.matvec(primal, w)) for w in b.words):
             return ComplementKind(False, tuple(notes))
     return ComplementKind(True, tuple(notes))

@@ -7,6 +7,7 @@ import pytest
 
 import corpus
 from setcodes.cli import main, parse_code_file, render_code_file
+from setcodes.errors import ParityViolation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -53,6 +54,19 @@ def test_parse_errors():
             parse_code_file(text)
 
 
+def test_class_errors_carry_the_end_line():
+    short = "ncode a\ncomponent 1\nclass len=3\nwords\n000\n11\nendwords\nend"
+    with pytest.raises(ValueError, match="^line 8: word 11 does not have length 3") as exc:
+        parse_code_file(short)
+    assert exc.type is ValueError
+    parity = (
+        "ncode a\ncomponent 1\nclass len=3\nH\n111\nendH\n"
+        "words\n000\n100\nendwords\nend"
+    )
+    with pytest.raises(ParityViolation, match="^line 11: word 100 fails"):
+        parse_code_file(parity)
+
+
 def test_classify_repetition_pair(capsys):
     assert main(["classify", PAIR]) == 0
     out = capsys.readouterr().out
@@ -84,6 +98,14 @@ def test_encode_needs_length_for_multiclass_components(capsys):
 def test_encode_without_check_fails(capsys):
     assert main(["encode", PAIR, "1", "--length", "4"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_encode_rejects_component_out_of_range(capsys):
+    for index in ("9", "0"):
+        assert main(["encode", BLOCK, "101", "--component", index]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: component")
+        assert captured.out == ""
 
 
 def test_detect(capsys):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import corpus
 from setcodes import gf2
@@ -31,6 +33,7 @@ from setcodes.errors import (
     NotStandardForm,
     ParityViolation,
 )
+from setcodes.decoding import build_standard_array
 from setcodes.gf2 import word
 
 
@@ -150,6 +153,45 @@ def test_linearity_and_basis():
     assert not crooked.is_linear()
     with pytest.raises(NotLinear):
         crooked.basis()
+
+
+@st.composite
+def word_sets(draw, max_len: int = 6):
+    """Random words of one length, often replaced by their span or a span
+    missing one word, so that linear and nearly linear sets both show up."""
+    n = draw(st.integers(1, max_len))
+    one = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    ws = draw(st.lists(one, min_size=1, max_size=12))
+    shape = draw(st.sampled_from(("raw", "span", "span minus one")))
+    spanned = sorted(gf2.span(gf2.row_basis(tuple(ws))))
+    if shape == "span" and spanned:
+        ws = spanned
+    elif shape == "span minus one" and len(spanned) > 1:
+        drop = draw(st.integers(0, len(spanned) - 1))
+        ws = spanned[:drop] + spanned[drop + 1 :]
+    return tuple(ws)
+
+
+def _closed_with_zero(ws) -> bool:
+    s = set(ws)
+    return gf2.zeros(len(ws[0])) in s and all(
+        gf2.xor(a, b) in s for a in s for b in s
+    )
+
+
+@given(word_sets())
+def test_rank_linearity_matches_pairwise_closure(ws):
+    cls = LengthClass(len(ws[0]), ws)
+    if _closed_with_zero(ws):
+        assert cls.is_linear()
+        assert cls.basis() == gf2.row_basis(ws)
+        build_standard_array(ws)
+    else:
+        assert not cls.is_linear()
+        with pytest.raises(NotLinear):
+            cls.basis()
+        with pytest.raises(NotLinear):
+            build_standard_array(ws)
 
 
 def test_class_encode():

@@ -143,6 +143,14 @@ def test_classify_repetition_bicode():
     second = SetCode(tuple(repetition_class(n) for n in (4, 6, 7, 5)))
     nc = SetNCode((first, second))
     assert nc.classify() == ("set", "repetition", "cyclic", "semigroup", "group")
+    # A second component without a parity check only drops "hamming".
+    hamming = SetCode((repetition_class(3),))
+    unchecked = SetCode(
+        (LengthClass(3, (gf2.zeros(3), gf2.ones(3))), repetition_class(5))
+    )
+    assert "hamming" in hamming.classify()
+    nc = SetNCode((hamming, unchecked))
+    assert nc.classify() == ("set", "repetition", "cyclic", "semigroup", "group")
 
 
 def test_classify_biweights():
@@ -230,3 +238,12 @@ def test_complementing_full_rank_first_component():
     assert is_complementing_bicode(SetNCode((first, zero_only))).ok
     bigger = SetCode((LengthClass(2, (word("00"), word("01"))),))
     assert not is_complementing_bicode(SetNCode((first, bigger))).ok
+
+
+def test_complementing_beyond_the_span_cap():
+    # The dual of the length-30 repetition class holds 2**29 words.
+    first = SetCode((repetition_class(30),))
+    second = SetCode((LengthClass(30, (gf2.zeros(30), word("11" + "0" * 28))),))
+    verdict = is_complementing_bicode(SetNCode((first, second)))
+    assert verdict.ok
+    assert verdict.notes == ()
