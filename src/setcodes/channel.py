@@ -2,11 +2,14 @@
 
 A key names which components carry payload; every other component is filled
 with a random valid codeword each frame so all components look alike on the
-wire. Every random draw comes from a stream seeded by (seed, frame, purpose),
+wire. Every random draw comes from a stream named by (seed, frame, purpose),
 so results do not depend on execution order or thread count.
 """
 from __future__ import annotations
 
+import hashlib
+import math
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +23,13 @@ from .decoding import (
     pba_decode_with_retry,
     standard_array,
 )
-from .errors import KeyOutOfRange, NoSuchLength, NotACodeword, PatternMismatch
+from .errors import (
+    KeyOutOfRange,
+    NoSuchLength,
+    NotACodeword,
+    PatternMismatch,
+    TieUnresolvable,
+)
 from .gf2 import Word
 from .ncode import NWord, SetNCode
 
@@ -63,13 +72,46 @@ class ObfuscationKey:
             )
 
 
+class _CounterStream(random.Random):
+    """Counter-based random stream: bits come from blake2b(name + counter).
+
+    Block i of a stream is the 64-byte blake2b digest of its name followed by
+    i as 8 little-endian bytes, so every draw is a pure function of the name
+    and its position, and opening a stream costs no generator seeding. The
+    name sits in the message rather than the key, which blake2b caps at 64
+    bytes. Overriding random and getrandbits keeps every other method of
+    random.Random exact; choice, for one, rejects out-of-range draws from
+    getrandbits.
+    """
+
+    def seed(self, a=None, version=2) -> None:
+        self._name = str(a).encode()
+        self._block = 0
+        self._pool = 0
+        self._pool_bits = 0
+        self.gauss_next = None
+
+    def getrandbits(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        while self._pool_bits < k:
+            digest = hashlib.blake2b(
+                self._name + self._block.to_bytes(8, "little")
+            ).digest()
+            self._block += 1
+            self._pool |= int.from_bytes(digest, "little") << self._pool_bits
+            self._pool_bits += 8 * len(digest)
+        out = self._pool & ((1 << k) - 1)
+        self._pool >>= k
+        self._pool_bits -= k
+        return out
+
+    def random(self) -> float:
+        return self.getrandbits(53) * 2.0**-53
+
+
 def _stream(seed: int, frame: int, purpose: str) -> random.Random:
-    # String seeding hashes the bytes, so streams stay stable across runs.
-    return random.Random(f"{seed}:{frame}:{purpose}")
-
-
-def _component_words(comp: SetCode) -> tuple[Word, ...]:
-    return tuple(sorted(comp.all_words()))
+    return _CounterStream(f"{seed}:{frame}:{purpose}")
 
 
 def build_frame(
@@ -101,19 +143,46 @@ def build_frame(
                 )
             parts.append(w)
         else:
-            parts.append(rng.choice(_component_words(comp)))
+            parts.append(rng.choice(comp.sorted_words))
     return NWord(tuple(parts))
 
 
 def corrupt(nw: NWord, p: float, seed: int, frame: int) -> NWord:
-    """Flip each present bit independently with probability p."""
+    """Flip each present bit independently with probability p.
+
+    The present bits, read part after part, form one Bernoulli(p) sequence,
+    so only the flips are drawn: the gap of unflipped bits before each flip
+    is geometric, P(gap >= g) = (1 - p) ** g, sampled by inversion (Devroye,
+    Non-Uniform Random Variate Generation, ch. X). p == 0 draws nothing.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("flip probability must sit in [0, 1)")
+    if p == 0.0:
+        return nw
+    rng = _stream(seed, frame, "noise")
+    log_q = math.log1p(-p)
+
+    def gap() -> float:
+        # The floor of the result is the gap; a float cannot overflow when p
+        # is so small that the gap is effectively infinite.
+        return math.log(1.0 - rng.random()) / log_q
+
+    skip = gap()  # present bits to pass before the next flip
     parts: list[Word | None] = []
-    for i, part in enumerate(nw.parts, start=1):
+    for part in nw.parts:
         if part is None:
             parts.append(None)
             continue
-        rng = _stream(seed, frame, f"{i}:noise")
-        parts.append(tuple(b ^ (rng.random() < p) for b in part))
+        n = len(part)
+        if skip < n:
+            bits = list(part)
+            while skip < n:
+                at = int(skip)
+                bits[at] ^= 1
+                skip = at + 1 + gap()
+            part = tuple(bits)
+        skip -= n
+        parts.append(part)
     return NWord(tuple(parts))
 
 
@@ -200,12 +269,10 @@ def _run_chunk(
     # counters per component: corrupted, detected, undetected, corrected
     counts = [[0, 0, 0, 0] for _ in ncode.components]
     carrier_set = set(key.carrier_indices)
-    comp_words = [_component_words(c) for c in ncode.components]
+    carrier_words = [ncode.components[i - 1].sorted_words for i in key.carrier_indices]
     for frame in range(start, stop):
         rng = _stream(config.seed, frame, "payload")
-        payload = tuple(
-            rng.choice(comp_words[i - 1]) for i in key.carrier_indices
-        )
+        payload = tuple(rng.choice(words) for words in carrier_words)
         sent = build_frame(ncode, key, payload, config.seed, frame)
         got = corrupt(sent, config.flip_probability, config.seed, frame)
         flags = ncode.detect(got)
@@ -234,26 +301,39 @@ def run_simulation(
     """Push frames through the channel and tally exact counters.
 
     Frame streams are independent, so splitting the range across threads
-    cannot change any count.
+    cannot change any count. At most one worker per frame and per CPU is
+    started, however many threads are asked for. Nearest-neighbour decoding
+    of a carrier class with several words and no message length could meet
+    a tie it cannot break, so that raises TieUnresolvable before any frame.
     """
     key.validate_for(ncode.arity)
     if threads < 1:
         raise ValueError("need at least one thread")
+    if method == "nn":
+        for i in key.carrier_indices:
+            for cls in ncode.components[i - 1].classes:
+                if cls.message_length is None and len(cls.words) > 1:
+                    raise TieUnresolvable(
+                        f"nn decoding of component {i}: its length {cls.length} "
+                        f"class has {len(cls.words)} words and no message length "
+                        "to break ties"
+                    )
     if method == "coset":
         # Warm the shared arrays before fanning out.
         for comp in ncode.components:
             for cls in comp.classes:
-                standard_array(cls.words)
+                standard_array(cls._word_set)
+    workers = min(threads, config.frames, os.cpu_count() or 1)
     chunks = []
-    step = (config.frames + threads - 1) // threads
+    step = (config.frames + workers - 1) // workers
     for start in range(0, config.frames, step):
         chunks.append((start, min(start + step, config.frames)))
-    if threads == 1:
+    if workers == 1:
         results = [
             _run_chunk(ncode, key, config, method, a, b) for a, b in chunks
         ]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     lambda ab: _run_chunk(ncode, key, config, method, *ab), chunks

@@ -194,9 +194,14 @@ def repetition_class(n: int) -> LengthClass:
 
 @dataclass(frozen=True)
 class SetCode:
-    """An ordered collection of length classes, at most one per length."""
+    """An ordered collection of length classes, at most one per length.
+
+    sorted_words holds every word of every class in increasing order; it is
+    derived once, here, for callers that draw from the whole code.
+    """
 
     classes: tuple[LengthClass, ...]
+    sorted_words: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         classes = tuple(self.classes)
@@ -208,6 +213,9 @@ class SetCode:
                 raise DuplicateLength(f"two classes of length {cls.length}")
             seen.add(cls.length)
         object.__setattr__(self, "classes", classes)
+        object.__setattr__(
+            self, "sorted_words", tuple(sorted(w for c in classes for w in c.words))
+        )
 
     @property
     def lengths(self) -> tuple[int, ...]:

@@ -57,8 +57,7 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
         )
     if cls.contains(received):
         return DecodeOutcome(ACCEPTED, received, METHOD_NN)
-    best = min(gf2.distance(received, w) for w in cls.words)
-    candidates = [w for w in cls.words if gf2.distance(received, w) == best]
+    best, candidates = _nearest(received, cls.words)
     trace = [f"distance {best}"]
     if len(candidates) > 1:
         k = cls.message_length
@@ -66,14 +65,28 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
             raise TieUnresolvable(
                 f"{len(candidates)} words at distance {best} and no message length"
             )
-        msg_best = min(gf2.distance(received[:k], w[:k]) for w in candidates)
-        candidates = [
-            w for w in candidates if gf2.distance(received[:k], w[:k]) == msg_best
-        ]
+        msg_best, candidates = _nearest(received[:k], candidates, k)
         trace.append(f"message tie break over {k} symbols, distance {msg_best}")
         if len(candidates) > 1:
             trace.append(f"ambiguous among {len(candidates)}, smallest kept")
     return DecodeOutcome(CORRECTED, min(candidates), METHOD_NN, tuple(trace))
+
+
+def _nearest(
+    received: Word, words, prefix: int | None = None
+) -> tuple[int, list[Word]]:
+    """Least distance to received, over the first prefix coordinates when
+    given, and the words at it in their given order; one distance per word."""
+    best = None
+    nearest: list[Word] = []
+    for w in words:
+        d = gf2.distance(received, w if prefix is None else w[:prefix])
+        if best is None or d < best:
+            best = d
+            nearest = [w]
+        elif d == best:
+            nearest.append(w)
+    return best, nearest
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,11 @@ _ARRAY_CACHE: dict[frozenset[Word], StandardArray] = {}
 
 
 def standard_array(words) -> StandardArray:
-    key = frozenset(tuple(w) for w in words)
+    """The cached array of a word set; a frozenset of tuples is the key as is."""
+    if isinstance(words, frozenset):
+        key = words
+    else:
+        key = frozenset(tuple(w) for w in words)
     hit = _ARRAY_CACHE.get(key)
     if hit is None:
         hit = build_standard_array(words)
@@ -176,8 +193,11 @@ def clear_array_cache() -> None:
 
 
 def coset_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
-    """Decode against the cached standard array of the class words."""
-    return standard_array(cls.words).decode(received)
+    """Decode against the cached standard array of the class words.
+
+    The class's own frozenset is the cache key, so its hash is computed once.
+    """
+    return standard_array(cls._word_set).decode(received)
 
 
 def pba_decode(received: Word, basis: Matrix) -> DecodeOutcome:

@@ -10,6 +10,9 @@ coefficient of x**i (lowest degree first).
 """
 from __future__ import annotations
 
+from operator import and_, ne
+from operator import xor as _add_bits
+
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -54,21 +57,21 @@ def xor(a: Word, b: Word) -> Word:
     """Coordinatewise sum over GF(2)."""
     if len(a) != len(b):
         raise LengthMismatch(f"cannot add words of length {len(a)} and {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
+    return tuple(map(_add_bits, a, b))
 
 
 def distance(a: Word, b: Word) -> int:
     """Hamming distance between two words of equal length."""
     if len(a) != len(b):
         raise LengthMismatch(f"no distance between lengths {len(a)} and {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
+    return sum(map(ne, a, b))
 
 
 def dot(a: Word, b: Word) -> int:
     """Mod-2 dot product of two words of equal length."""
     if len(a) != len(b):
         raise LengthMismatch(f"no dot product between lengths {len(a)} and {len(b)}")
-    return sum(x & y for x, y in zip(a, b)) & 1
+    return sum(map(and_, a, b)) & 1
 
 
 def rotate_right(w: Word) -> Word:
@@ -93,7 +96,7 @@ def matvec(m: Matrix, v: Word) -> Word:
             raise DimensionMismatch(
                 f"matrix row has {len(row)} columns, vector has {len(v)}"
             )
-    return tuple(dot(row, v) for row in m)
+    return tuple(sum(map(and_, row, v)) & 1 for row in m)
 
 
 def vecmat(v: Word, m: Matrix) -> Word:

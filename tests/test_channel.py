@@ -1,9 +1,13 @@
 """Frame building, corruption, and the exact simulation counters."""
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 import corpus
+from setcodes import channel
 from setcodes.channel import (
     ChannelConfig,
     ObfuscationKey,
@@ -14,9 +18,14 @@ from setcodes.channel import (
     receive,
     run_simulation,
 )
-from setcodes.core import LengthClass, SetCode
-from setcodes.errors import KeyOutOfRange, NotACodeword, PatternMismatch
-from setcodes.gf2 import word
+from setcodes.core import LengthClass, SetCode, cyclic_code
+from setcodes.errors import (
+    KeyOutOfRange,
+    NotACodeword,
+    PatternMismatch,
+    TieUnresolvable,
+)
+from setcodes.gf2 import all_words, word, zeros
 from setcodes.ncode import NWord, SetNCode
 
 
@@ -86,6 +95,62 @@ def test_corrupt_is_deterministic_and_quiet_at_zero():
     b = corrupt(nw, 0.4, seed=3, frame=5)
     assert a == b
     assert all(len(p) == len(q) for p, q in zip(a.parts, nw.parts))
+    for p in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            corrupt(nw, p, seed=3, frame=5)
+
+
+def within_five_sigma(counts, trials: int, p: float) -> bool:
+    mean = trials * p
+    sigma = math.sqrt(trials * p * (1 - p))
+    return all(abs(c - mean) <= 5 * sigma for c in counts)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3])
+def test_flips_per_position_are_binomial(p):
+    # Gaps are skipped across parts, and absent parts take no bits. A gap
+    # one short re-flips a bit at rate p, which the larger p shows.
+    trials = 20_000
+    nw = NWord((zeros(6), None, zeros(6)))
+    flips = [0] * 12
+    for frame in range(trials):
+        got = corrupt(nw, p, seed=17, frame=frame)
+        assert got.parts[1] is None
+        for i, bit in enumerate(got.parts[0] + got.parts[2]):
+            flips[i] += bit
+    assert within_five_sigma(flips, trials, p)
+
+
+def test_decoy_and_payload_choices_are_uniform(monkeypatch):
+    sixteen = SetCode((LengthClass(4, tuple(all_words(4))),))
+    nc = SetNCode((SetCode((cyclic_code((1, 1, 0, 1), 7),)), sixteen))
+    key = ObfuscationKey((1,))
+    trials = 16_000
+    sent = []
+    real_build_frame = channel.build_frame
+
+    def recording_build_frame(*args):
+        out = real_build_frame(*args)
+        sent.append(out)
+        return out
+
+    monkeypatch.setattr(channel, "build_frame", recording_build_frame)
+    run_simulation(nc, key, ChannelConfig(0.0, 23, trials), method="coset")
+    assert len(sent) == trials
+    for idx in (0, 1):
+        counts = Counter(nw.parts[idx] for nw in sent)
+        assert len(counts) == 16
+        assert within_five_sigma(counts.values(), trials, 1 / 16)
+
+
+def test_streams_are_pinned():
+    # Any change to how streams are derived must update these on purpose.
+    nc = decoy_ncode()
+    key = ObfuscationKey((1,))
+    frame = build_frame(nc, key, (word("101101"),), seed=9, frame=0)
+    assert frame.render() == "101101 u 1101001"
+    noisy = corrupt(NWord((zeros(6), zeros(7))), 0.3, seed=3, frame=5)
+    assert noisy.render() == "011101 u 1001000"
 
 
 def test_corrupt_keeps_absent_parts_absent():
@@ -162,6 +227,39 @@ def test_thread_count_does_not_change_counts():
     assert single == fanned
     with pytest.raises(ValueError):
         run_simulation(nc, key, config, threads=0)
+
+
+def test_thread_pool_is_capped(monkeypatch):
+    started = []
+    real_pool = channel.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(channel, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 64)
+    nc = decoy_ncode()
+    key = ObfuscationKey((1,))
+    config = ChannelConfig(0.1, 8, 8)
+    fanned = run_simulation(nc, key, config, threads=10**6)
+    assert started == [8]
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)
+    assert run_simulation(nc, key, config, threads=10**6) == fanned
+    assert started == [8, 3]
+    assert run_simulation(nc, key, config, threads=1) == fanned
+    assert started == [8, 3]
+
+
+def test_nn_without_message_length_fails_before_any_frame(monkeypatch):
+    def no_frames(*args):
+        pytest.fail("a frame was built")
+
+    monkeypatch.setattr(channel, "build_frame", no_frames)
+    nc = decoy_ncode()
+    key = ObfuscationKey((2,))  # the length-7 decoy has no k=
+    with pytest.raises(TieUnresolvable, match="component 2"):
+        run_simulation(nc, key, ChannelConfig(0.02, 6, 50), method="nn")
 
 
 def test_simulation_with_nn_method():

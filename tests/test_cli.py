@@ -200,6 +200,21 @@ def test_simulate_rejects_bad_carriers(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_simulate_nn_needs_a_message_length(capsys):
+    # Component 2 of the decoy file is a length-7 class without k=.
+    assert main([
+        "simulate", DECOY,
+        "--carriers", "2",
+        "--flip-prob", "0.02",
+        "--frames", "10",
+        "--method", "nn",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "no message length" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file(capsys):
     assert main(["classify", "no_such_file.code"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -5,8 +5,9 @@ import pytest
 
 import corpus
 from setcodes import gf2
-from setcodes.core import LengthClass
+from setcodes.core import LengthClass, cyclic_code, repetition_class
 from setcodes.decoding import (
+    DecodeOutcome,
     build_standard_array,
     clear_array_cache,
     coset_decode,
@@ -52,6 +53,52 @@ def test_nn_residual_tie_keeps_smallest():
     out = nn_decode(cls, word("0110"))
     assert out.word == word("0011")
     assert any("ambiguous among 2, smallest kept" in line for line in out.trace)
+
+
+def two_pass_nn(cls, received):
+    """Reference nearest neighbour: each candidate list takes two scans."""
+    if received in set(cls.words):
+        return DecodeOutcome("Accepted", received, "NN")
+    best = min(gf2.distance(received, w) for w in cls.words)
+    candidates = [w for w in cls.words if gf2.distance(received, w) == best]
+    trace = [f"distance {best}"]
+    if len(candidates) > 1:
+        k = cls.message_length
+        if k is None:
+            raise TieUnresolvable("tie")
+        msg_best = min(gf2.distance(received[:k], w[:k]) for w in candidates)
+        candidates = [
+            w for w in candidates if gf2.distance(received[:k], w[:k]) == msg_best
+        ]
+        trace.append(f"message tie break over {k} symbols, distance {msg_best}")
+        if len(candidates) > 1:
+            trace.append(f"ambiguous among {len(candidates)}, smallest kept")
+    return DecodeOutcome("Corrected", min(candidates), "NN", tuple(trace))
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [cyclic_code((1, 1, 0, 1), 7), corpus.repeat3_6_class(), repetition_class(6)],
+    ids=["cyclic_7_4", "repeat3_6", "repetition_6"],
+)
+def test_nn_matches_two_pass_reference(cls):
+    for received in gf2.all_words(cls.length):
+        assert nn_decode(cls, received) == two_pass_nn(cls, received)
+
+
+def test_nn_reference_ties_without_message_length():
+    cls = LengthClass(6, corpus.REPEAT3_6_WORDS)
+    ties = 0
+    for received in gf2.all_words(6):
+        try:
+            want = two_pass_nn(cls, received)
+        except TieUnresolvable:
+            ties += 1
+            with pytest.raises(TieUnresolvable):
+                nn_decode(cls, received)
+        else:
+            assert nn_decode(cls, received) == want
+    assert ties > 0
 
 
 def test_nn_length_mismatch():
