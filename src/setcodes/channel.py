@@ -18,18 +18,14 @@ from . import gf2
 from .core import SetCode
 from .decoding import (
     DecodeOutcome,
+    check_method,
     coset_decode,
     nn_decode,
     pba_decode_with_retry,
+    prepare,
     standard_array,
 )
-from .errors import (
-    KeyOutOfRange,
-    NoSuchLength,
-    NotACodeword,
-    PatternMismatch,
-    TieUnresolvable,
-)
+from .errors import KeyOutOfRange, NotACodeword, PatternMismatch, SetCodeError
 from .gf2 import Word
 from .ncode import NWord, SetNCode
 
@@ -133,11 +129,7 @@ def build_frame(
     for i, comp in enumerate(ncode.components, start=1):
         if i in carriers:
             w = tuple(carriers[i])
-            try:
-                member = comp.class_of(len(w)).contains(w)
-            except NoSuchLength:
-                member = False
-            if not member:
+            if not comp.contains(w):
                 raise NotACodeword(
                     f"payload {gf2.render(w)} is not a codeword of component {i}"
                 )
@@ -190,6 +182,7 @@ def receive(
     ncode: SetNCode, key: ObfuscationKey, frame: NWord, method: str = "coset"
 ) -> tuple[DecodeOutcome, ...]:
     """Decode only the carrier parts, in carrier order."""
+    check_method(method)
     key.validate_for(ncode.arity)
     if frame.arity != ncode.arity:
         raise PatternMismatch(
@@ -253,41 +246,35 @@ def _decode_part(comp: SetCode, part: Word, method: str) -> DecodeOutcome:
         return nn_decode(cls, part)
     if method == "coset":
         return coset_decode(cls, part)
-    if method == "pba":
-        return pba_decode_with_retry(part, cls.basis())
-    raise ValueError(f"unknown method {method!r}")
+    return pba_decode_with_retry(part, cls.basis())
 
 
-def _run_chunk(
+def _run_frames(
     ncode: SetNCode,
     key: ObfuscationKey,
     config: ChannelConfig,
     method: str,
-    start: int,
-    stop: int,
+    frames: range,
 ) -> list[list[int]]:
     # counters per component: corrupted, detected, undetected, corrected
     counts = [[0, 0, 0, 0] for _ in ncode.components]
-    carrier_set = set(key.carrier_indices)
     carrier_words = [ncode.components[i - 1].sorted_words for i in key.carrier_indices]
-    for frame in range(start, stop):
+    for frame in frames:
         rng = _stream(config.seed, frame, "payload")
         payload = tuple(rng.choice(words) for words in carrier_words)
         sent = build_frame(ncode, key, payload, config.seed, frame)
         got = corrupt(sent, config.flip_probability, config.seed, frame)
-        flags = ncode.detect(got)
-        for idx, (sent_part, got_part) in enumerate(zip(sent.parts, got.parts)):
-            c = counts[idx]
+        for c, sent_part, got_part, valid in zip(
+            counts, sent.parts, got.parts, ncode.detect(got)
+        ):
             if got_part != sent_part:
                 c[0] += 1
-                if flags[idx]:
-                    c[2] += 1
-                else:
-                    c[1] += 1
-            if idx + 1 in carrier_set:
-                out = _decode_part(ncode.components[idx], got_part, method)
-                if out.ok and out.word == sent_part:
-                    c[3] += 1
+                c[2 if valid else 1] += 1
+        for i, part, out in zip(
+            key.carrier_indices, payload, receive(ncode, key, got, method)
+        ):
+            if out.ok and out.word == part:
+                counts[i - 1][3] += 1
     return counts
 
 
@@ -300,50 +287,35 @@ def run_simulation(
 ) -> SimulationResult:
     """Push frames through the channel and tally exact counters.
 
-    Frame streams are independent, so splitting the range across threads
+    Every class of every carrier component goes through decoding.prepare
+    first, so a method that cannot decode a carrier fails before any frame,
+    naming the component; decoys are never decoded and are not checked.
+    Frame streams are independent, so splitting the frames across threads
     cannot change any count. At most one worker per frame and per CPU is
-    started, however many threads are asked for. Nearest-neighbour decoding
-    of a carrier class with several words and no message length could meet
-    a tie it cannot break, so that raises TieUnresolvable before any frame.
+    started, however many threads are asked for.
     """
     key.validate_for(ncode.arity)
     if threads < 1:
         raise ValueError("need at least one thread")
-    if method == "nn":
-        for i in key.carrier_indices:
-            for cls in ncode.components[i - 1].classes:
-                if cls.message_length is None and len(cls.words) > 1:
-                    raise TieUnresolvable(
-                        f"nn decoding of component {i}: its length {cls.length} "
-                        f"class has {len(cls.words)} words and no message length "
-                        "to break ties"
-                    )
-    if method == "coset":
-        # Warm the shared arrays before fanning out.
-        for comp in ncode.components:
-            for cls in comp.classes:
-                standard_array(cls._word_set)
+    for i in key.carrier_indices:
+        for cls in ncode.components[i - 1].classes:
+            try:
+                prepare(cls, method)
+            except (SetCodeError, ValueError) as exc:
+                raise type(exc)(f"component {i}, length {cls.length}: {exc}") from exc
     workers = min(threads, config.frames, os.cpu_count() or 1)
-    chunks = []
-    step = (config.frames + workers - 1) // workers
-    for start in range(0, config.frames, step):
-        chunks.append((start, min(start + step, config.frames)))
+
+    def run(frames: range) -> list[list[int]]:
+        return _run_frames(ncode, key, config, method, frames)
+
     if workers == 1:
-        results = [
-            _run_chunk(ncode, key, config, method, a, b) for a, b in chunks
-        ]
+        results = [run(range(config.frames))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(
-                    lambda ab: _run_chunk(ncode, key, config, method, *ab), chunks
-                )
+                pool.map(run, (range(w, config.frames, workers) for w in range(workers)))
             )
-    totals = [[0, 0, 0, 0] for _ in ncode.components]
-    for chunk in results:
-        for idx, c in enumerate(chunk):
-            for f in range(4):
-                totals[idx][f] += c[f]
+    totals = [list(map(sum, zip(*per_worker))) for per_worker in zip(*results)]
     carrier_set = set(key.carrier_indices)
     stats = tuple(
         ComponentStats(

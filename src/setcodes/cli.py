@@ -40,7 +40,7 @@ from .channel import (
     run_simulation,
 )
 from .core import LengthClass, SetCode
-from .decoding import ACCEPTED, CORRECTED
+from .decoding import ACCEPTED, CORRECTED, METHODS
 from .errors import SetCodeError
 from .gf2 import Word
 from .ncode import NWord, SetNCode, is_complementing_bicode, parse_nword
@@ -55,77 +55,68 @@ def parse_code_file(text: str) -> tuple[str, SetNCode]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if mode == "H":
-            if line == "endH":
-                mode = None
-            else:
-                pending["check"].append(gf2.word(line))
-            continue
-        if mode == "words":
-            if line == "endwords":
-                mode = None
-            else:
-                pending["words"].append(gf2.word(line))
-            continue
-        if line.startswith("ncode "):
-            if name is not None:
-                raise ValueError(f"line {lineno}: second ncode line")
-            name = line[len("ncode "):].strip()
-            continue
-        if name is None:
-            raise ValueError(f"line {lineno}: file must start with an ncode line")
-        if line.startswith("component "):
-            if pending is not None:
-                raise ValueError(f"line {lineno}: class block left open")
-            want = int(line.split()[1])
-            if want != len(components) + 1:
-                raise ValueError(f"line {lineno}: expected component {len(components) + 1}")
-            components.append([])
-            continue
-        if line.startswith("class "):
-            if not components:
-                raise ValueError(f"line {lineno}: class outside any component")
-            if pending is not None:
-                raise ValueError(f"line {lineno}: class block left open")
-            pending = {"length": None, "k": None, "check": None, "words": []}
-            for tok in line.split()[1:]:
-                if tok.startswith("len="):
-                    pending["length"] = int(tok[4:])
-                elif tok.startswith("k="):
-                    pending["k"] = int(tok[2:])
+        try:
+            if mode is not None:
+                if line == "end" + mode:
+                    mode = None
                 else:
-                    raise ValueError(f"line {lineno}: unknown class option {tok!r}")
-            if pending["length"] is None:
-                raise ValueError(f"line {lineno}: class needs len=")
-            continue
-        if line == "H":
-            if pending is None:
-                raise ValueError(f"line {lineno}: H outside a class block")
-            pending["check"] = []
-            mode = "H"
-            continue
-        if line == "words":
-            if pending is None:
-                raise ValueError(f"line {lineno}: words outside a class block")
-            mode = "words"
-            continue
-        if line == "end":
-            if pending is None:
-                raise ValueError(f"line {lineno}: end without a class block")
-            check = pending["check"]
-            try:
-                cls = LengthClass(
-                    length=pending["length"],
-                    words=tuple(pending["words"]),
-                    check=tuple(check) if check else None,
-                    message_length=pending["k"],
+                    pending[mode].append(gf2.word(line))
+                continue
+            if line.startswith("ncode "):
+                if name is not None:
+                    raise ValueError("second ncode line")
+                name = line[len("ncode "):].strip()
+                continue
+            if name is None:
+                raise ValueError("file must start with an ncode line")
+            if line.startswith("component "):
+                if pending is not None:
+                    raise ValueError("class block left open")
+                want = int(line.split()[1])
+                if want != len(components) + 1:
+                    raise ValueError(f"expected component {len(components) + 1}")
+                components.append([])
+                continue
+            if line.startswith("class "):
+                if not components:
+                    raise ValueError("class outside any component")
+                if pending is not None:
+                    raise ValueError("class block left open")
+                pending = {"length": None, "k": None, "H": None, "words": []}
+                for tok in line.split()[1:]:
+                    if tok.startswith("len="):
+                        pending["length"] = int(tok[4:])
+                    elif tok.startswith("k="):
+                        pending["k"] = int(tok[2:])
+                    else:
+                        raise ValueError(f"unknown class option {tok!r}")
+                if pending["length"] is None:
+                    raise ValueError("class needs len=")
+                continue
+            if line in ("H", "words"):
+                if pending is None:
+                    raise ValueError(f"{line} outside a class block")
+                if line == "H":
+                    pending["H"] = []
+                mode = line
+                continue
+            if line == "end":
+                if pending is None:
+                    raise ValueError("end without a class block")
+                check = pending["H"]
+                components[-1].append(
+                    LengthClass(
+                        length=pending["length"],
+                        words=tuple(pending["words"]),
+                        check=tuple(check) if check else None,
+                        message_length=pending["k"],
+                    )
                 )
-            except (SetCodeError, ValueError) as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from exc
-            components[-1].append(cls)
-            pending = None
-            continue
-        raise ValueError(f"line {lineno}: cannot parse {line!r}")
+                pending = None
+                continue
+            raise ValueError(f"cannot parse {line!r}")
+        except (SetCodeError, ValueError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
     if mode is not None:
         raise ValueError(f"unterminated {mode} block")
     if pending is not None:
@@ -277,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode an n-word part by part")
     p.add_argument("file")
     p.add_argument("nword")
-    p.add_argument("--method", choices=("nn", "coset", "pba"), default="nn")
+    p.add_argument("--method", choices=METHODS, default="nn")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("dual", help="print the dual of a code file")
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-prob", type=float, required=True)
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=("nn", "coset", "pba"), default="coset")
+    p.add_argument("--method", choices=METHODS, default="coset")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 

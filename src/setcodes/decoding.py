@@ -3,11 +3,12 @@
 Nearest neighbour works on any class. Coset decoding builds a standard array
 and needs the words to form a subspace. Projection decoding sums basis words
 against the mod-2 pairing and can fail outright; callers that want a second
-chance get a bounded deterministic retry.
+chance get a bounded deterministic retry. METHODS names the three, and
+prepare checks up front what a method needs of a class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import gf2
 from .core import LengthClass, pseudo_inner
@@ -23,9 +24,9 @@ ACCEPTED = "Accepted"
 CORRECTED = "Corrected"
 FAILED = "Failed"
 
-METHOD_NN = "NN"
-METHOD_COSET = "Coset"
-METHOD_PBA = "PBA"
+# The decoding methods by the names that --method, DecodeOutcome.method and
+# every dispatch use.
+METHODS = ("nn", "coset", "pba")
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
             f"received length {len(received)}, class length {cls.length}"
         )
     if cls.contains(received):
-        return DecodeOutcome(ACCEPTED, received, METHOD_NN)
+        return DecodeOutcome(ACCEPTED, received, "nn")
     best, candidates = _nearest(received, cls.words)
     trace = [f"distance {best}"]
     if len(candidates) > 1:
@@ -69,7 +70,7 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
         trace.append(f"message tie break over {k} symbols, distance {msg_best}")
         if len(candidates) > 1:
             trace.append(f"ambiguous among {len(candidates)}, smallest kept")
-    return DecodeOutcome(CORRECTED, min(candidates), METHOD_NN, tuple(trace))
+    return DecodeOutcome(CORRECTED, min(candidates), "nn", tuple(trace))
 
 
 def _nearest(
@@ -140,11 +141,11 @@ class StandardArray:
         syn = gf2.matvec(self.check, received)
         leader = self.leaders[syn]
         if not any(leader):
-            return DecodeOutcome(ACCEPTED, received, METHOD_COSET)
+            return DecodeOutcome(ACCEPTED, received, "coset")
         return DecodeOutcome(
             CORRECTED,
             gf2.xor(received, leader),
-            METHOD_COSET,
+            "coset",
             (f"leader {gf2.render(leader)}",),
         )
 
@@ -216,17 +217,16 @@ def pba_decode(received: Word, basis: Matrix) -> DecodeOutcome:
                 f"basis word length {len(b)}, received length {len(received)}"
             )
     out = gf2.zeros(len(received))
-    picked = []
+    summed = 0
     for b in basis:
         if pseudo_inner(received, b):
             out = gf2.xor(out, b)
-            picked.append(gf2.render(b))
-    trace = (f"summed {len(picked)} basis words",)
+            summed += 1
     if not any(out) and any(received):
-        return DecodeOutcome(FAILED, None, METHOD_PBA, trace)
-    if out == received:
-        return DecodeOutcome(ACCEPTED, received, METHOD_PBA, trace)
-    return DecodeOutcome(CORRECTED, out, METHOD_PBA, trace)
+        status, out = FAILED, None
+    else:
+        status = ACCEPTED if out == received else CORRECTED
+    return DecodeOutcome(status, out, "pba", (f"summed {summed} basis words",))
 
 
 def pba_decode_with_retry(
@@ -248,14 +248,31 @@ def pba_decode_with_retry(
         outcome = pba_decode(received, tuple(basis))
         attempt += 1
     if outcome.status == FAILED:
-        return DecodeOutcome(
-            FAILED, None, METHOD_PBA, outcome.trace + (f"gave up after {attempt}",)
+        note = f"gave up after {attempt}"
+    elif attempt > 1:
+        note = f"succeeded on attempt {attempt}"
+    else:
+        return outcome
+    return replace(outcome, trace=outcome.trace + (note,))
+
+
+def check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+
+
+def prepare(cls: LengthClass, method: str) -> None:
+    """Fail now, before any decoding, where method cannot decode cls.
+
+    nn needs a message length to break distance ties once a class holds more
+    than one word; coset needs the class's standard array, which is built or
+    looked up here so decoding finds it cached. pba needs nothing up front:
+    its basis is taken, and a nonlinear class rejected, at the first decode.
+    """
+    check_method(method)
+    if method == "nn" and cls.message_length is None and len(cls.words) > 1:
+        raise TieUnresolvable(
+            f"class of {len(cls.words)} words has no message length to break nn ties"
         )
-    if attempt > 1:
-        return DecodeOutcome(
-            outcome.status,
-            outcome.word,
-            METHOD_PBA,
-            outcome.trace + (f"succeeded on attempt {attempt}",),
-        )
-    return outcome
+    if method == "coset":
+        standard_array(cls._word_set)

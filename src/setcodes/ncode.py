@@ -12,6 +12,7 @@ from . import gf2
 from .core import SetCode
 from .decoding import (
     DecodeOutcome,
+    check_method,
     coset_decode,
     nn_decode,
     pba_decode_with_retry,
@@ -96,27 +97,23 @@ class SetNCode:
                 f"n-word has {nw.arity} parts, code has {self.arity} components"
             )
 
-    def contains(self, nw: NWord) -> bool:
+    def _partwise(self, nw: NWord, fn) -> tuple:
+        """fn(component, part) for every present part; None where absent."""
         self._check_arity(nw)
-        return all(
-            p is None or comp.contains(p)
+        return tuple(
+            None if p is None else fn(comp, p)
             for comp, p in zip(self.components, nw.parts)
         )
+
+    def contains(self, nw: NWord) -> bool:
+        return False not in self._partwise(nw, SetCode.contains)
 
     def detect(self, nw: NWord) -> tuple[bool | None, ...]:
         """Per-part validity; None where the part is absent."""
-        self._check_arity(nw)
-        return tuple(
-            None if p is None else comp.detect(p)
-            for comp, p in zip(self.components, nw.parts)
-        )
+        return self._partwise(nw, SetCode.detect)
 
     def syndrome(self, nw: NWord) -> tuple[Word | None, ...]:
-        self._check_arity(nw)
-        return tuple(
-            None if p is None else comp.syndrome(p)
-            for comp, p in zip(self.components, nw.parts)
-        )
+        return self._partwise(nw, SetCode.syndrome)
 
     def distance(self, a: NWord, b: NWord) -> tuple[int | None, ...]:
         """Partwise Hamming distance; presence patterns must agree."""
@@ -131,22 +128,17 @@ class SetNCode:
 
     def decode(self, nw: NWord, method: str = "nn") -> tuple[DecodeOutcome | None, ...]:
         """Decode every present part against its component, partwise."""
-        self._check_arity(nw)
-        out: list[DecodeOutcome | None] = []
-        for comp, p in zip(self.components, nw.parts):
-            if p is None:
-                out.append(None)
-                continue
-            cls = comp.class_of(len(p))
+        check_method(method)
+
+        def one(comp: SetCode, part: Word) -> DecodeOutcome:
+            cls = comp.class_of(len(part))
             if method == "nn":
-                out.append(nn_decode(cls, p))
-            elif method == "coset":
-                out.append(coset_decode(cls, p))
-            elif method == "pba":
-                out.append(pba_decode_with_retry(p, cls.basis()))
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        return tuple(out)
+                return nn_decode(cls, part)
+            if method == "coset":
+                return coset_decode(cls, part)
+            return pba_decode_with_retry(part, cls.basis())
+
+        return self._partwise(nw, one)
 
     def biweight(self) -> tuple[int, int] | None:
         """(m1, m2) when both components of a bicode are single-weight."""

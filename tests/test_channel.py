@@ -18,10 +18,11 @@ from setcodes.channel import (
     receive,
     run_simulation,
 )
-from setcodes.core import LengthClass, SetCode, cyclic_code
+from setcodes.core import LengthClass, SetCode, cyclic_code, repetition_class
 from setcodes.errors import (
     KeyOutOfRange,
     NotACodeword,
+    NotLinear,
     PatternMismatch,
     TieUnresolvable,
 )
@@ -251,15 +252,51 @@ def test_thread_pool_is_capped(monkeypatch):
     assert started == [8, 3]
 
 
+def nonlinear_decoy_ncode() -> SetNCode:
+    # Three words cannot form a subspace.
+    return SetNCode(
+        (
+            SetCode((corpus.repeat3_6_class(),)),
+            SetCode((LengthClass(7, corpus.NN_TRIO_WORDS),)),
+        )
+    )
+
+
 def test_nn_without_message_length_fails_before_any_frame(monkeypatch):
     def no_frames(*args):
         pytest.fail("a frame was built")
 
     monkeypatch.setattr(channel, "build_frame", no_frames)
-    nc = decoy_ncode()
-    key = ObfuscationKey((2,))  # the length-7 decoy has no k=
-    with pytest.raises(TieUnresolvable, match="component 2"):
-        run_simulation(nc, key, ChannelConfig(0.02, 6, 50), method="nn")
+    cases = (
+        # the length-7 decoy has no k=
+        (decoy_ncode(), (2,), "nn", TieUnresolvable, "component 2"),
+        (decoy_ncode(), (1,), "bogus", ValueError, "unknown method 'bogus'"),
+        (nonlinear_decoy_ncode(), (1, 2), "coset", NotLinear, "component 2"),
+    )
+    for nc, carriers, method, error, match in cases:
+        with pytest.raises(error, match=match):
+            run_simulation(
+                nc, ObfuscationKey(carriers), ChannelConfig(0.02, 6, 50), method=method
+            )
+
+
+def test_nonlinear_decoy_runs_under_coset():
+    # Decoys are never decoded, so coset needs no array for {110, 011}.
+    nc = SetNCode(
+        (
+            SetCode((repetition_class(6),)),
+            SetCode((LengthClass(3, (word("110"), word("011"))),)),
+        )
+    )
+    key = ObfuscationKey((1,))
+    config = ChannelConfig(0.1, 3, 400)
+    coset = run_simulation(nc, key, config, method="coset")
+    nn = run_simulation(nc, key, config, method="nn")
+    for a, b in zip(coset.components, nn.components):
+        assert (a.corrupted, a.detected, a.undetected) == (
+            b.corrupted, b.detected, b.undetected
+        )
+    assert coset.components[1].corrupted > 0
 
 
 def test_simulation_with_nn_method():

@@ -67,6 +67,22 @@ def test_class_errors_carry_the_end_line():
         parse_code_file(parity)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ncode a\ncomponent 1\nclass len=3\nwords\n000\n1x1\nendwords\nend", 6),
+        ("ncode a\ncomponent 1\nclass len=3\nH\n1x1\nendH", 5),
+        ("ncode a\n# comment\ncomponent one", 3),
+        ("ncode a\ncomponent 1\nclass len=three", 3),
+        ("ncode a\ncomponent 1\nclass len=3 k=x", 3),
+    ],
+    ids=["words-bitstring", "H-bitstring", "component", "len", "k"],
+)
+def test_value_errors_name_their_line(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        parse_code_file(text)
+
+
 def test_classify_repetition_pair(capsys):
     assert main(["classify", PAIR]) == 0
     out = capsys.readouterr().out

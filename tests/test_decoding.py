@@ -31,7 +31,7 @@ def test_nn_accepts_members():
     out = nn_decode(cls, word("111111"))
     assert out.status == "Accepted"
     assert out.word == word("111111")
-    assert out.method == "NN"
+    assert out.method == "nn"
 
 
 def test_nn_message_tie_break():
@@ -58,7 +58,7 @@ def test_nn_residual_tie_keeps_smallest():
 def two_pass_nn(cls, received):
     """Reference nearest neighbour: each candidate list takes two scans."""
     if received in set(cls.words):
-        return DecodeOutcome("Accepted", received, "NN")
+        return DecodeOutcome("Accepted", received, "nn")
     best = min(gf2.distance(received, w) for w in cls.words)
     candidates = [w for w in cls.words if gf2.distance(received, w) == best]
     trace = [f"distance {best}"]
@@ -73,7 +73,7 @@ def two_pass_nn(cls, received):
         trace.append(f"message tie break over {k} symbols, distance {msg_best}")
         if len(candidates) > 1:
             trace.append(f"ambiguous among {len(candidates)}, smallest kept")
-    return DecodeOutcome("Corrected", min(candidates), "NN", tuple(trace))
+    return DecodeOutcome("Corrected", min(candidates), "nn", tuple(trace))
 
 
 @pytest.mark.parametrize(
