@@ -8,7 +8,6 @@ from .channel import (
     SimulationResult,
     build_frame,
     corrupt,
-    expected_correction_rate,
     format_simulation,
     receive,
     run_simulation,

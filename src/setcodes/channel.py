@@ -3,15 +3,13 @@
 A key names which components carry payload; every other component is filled
 with a random valid codeword each frame so all components look alike on the
 wire. Every random draw comes from a stream named by (seed, frame, purpose),
-so results do not depend on execution order or thread count.
+so results do not depend on the order in which frames run.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import gf2
@@ -23,7 +21,7 @@ from .decoding import (
     nn_decode,
     pba_decode_with_retry,
     prepare,
-    standard_array,
+    standard_array,  # unused here; bench/tracing.py wraps channel.standard_array
 )
 from .errors import KeyOutOfRange, NotACodeword, PatternMismatch, SetCodeError
 from .gf2 import Word
@@ -197,11 +195,6 @@ def receive(
     return tuple(picked)
 
 
-def expected_correction_rate(words, p: float) -> float:
-    """Exact chance that coset decoding undoes a memoryless corruption."""
-    return standard_array(words).expected_correction_rate(p)
-
-
 @dataclass(frozen=True)
 class ComponentStats:
     """Exact counters for one component across a run."""
@@ -249,17 +242,35 @@ def _decode_part(comp: SetCode, part: Word, method: str) -> DecodeOutcome:
     return pba_decode_with_retry(part, cls.basis())
 
 
-def _run_frames(
+def run_simulation(
     ncode: SetNCode,
     key: ObfuscationKey,
     config: ChannelConfig,
-    method: str,
-    frames: range,
-) -> list[list[int]]:
+    method: str = "coset",
+    threads: int = 1,
+) -> SimulationResult:
+    """Push frames through the channel and tally exact counters.
+
+    Every class of every carrier component goes through decoding.prepare
+    first, so a method that cannot decode a carrier fails before any frame,
+    naming the component; decoys are never decoded and are not checked.
+    Frames run one after another in the calling thread. threads must be at
+    least 1 and does nothing else: a thread pool measured no faster under
+    the interpreter lock.
+    """
+    key.validate_for(ncode.arity)
+    if threads < 1:
+        raise ValueError("need at least one thread")
+    for i in key.carrier_indices:
+        for cls in ncode.components[i - 1].classes:
+            try:
+                prepare(cls, method)
+            except (SetCodeError, ValueError) as exc:
+                raise type(exc)(f"component {i}, length {cls.length}: {exc}") from exc
     # counters per component: corrupted, detected, undetected, corrected
     counts = [[0, 0, 0, 0] for _ in ncode.components]
     carrier_words = [ncode.components[i - 1].sorted_words for i in key.carrier_indices]
-    for frame in frames:
+    for frame in range(config.frames):
         rng = _stream(config.seed, frame, "payload")
         payload = tuple(rng.choice(words) for words in carrier_words)
         sent = build_frame(ncode, key, payload, config.seed, frame)
@@ -275,47 +286,6 @@ def _run_frames(
         ):
             if out.ok and out.word == part:
                 counts[i - 1][3] += 1
-    return counts
-
-
-def run_simulation(
-    ncode: SetNCode,
-    key: ObfuscationKey,
-    config: ChannelConfig,
-    method: str = "coset",
-    threads: int = 1,
-) -> SimulationResult:
-    """Push frames through the channel and tally exact counters.
-
-    Every class of every carrier component goes through decoding.prepare
-    first, so a method that cannot decode a carrier fails before any frame,
-    naming the component; decoys are never decoded and are not checked.
-    Frame streams are independent, so splitting the frames across threads
-    cannot change any count. At most one worker per frame and per CPU is
-    started, however many threads are asked for.
-    """
-    key.validate_for(ncode.arity)
-    if threads < 1:
-        raise ValueError("need at least one thread")
-    for i in key.carrier_indices:
-        for cls in ncode.components[i - 1].classes:
-            try:
-                prepare(cls, method)
-            except (SetCodeError, ValueError) as exc:
-                raise type(exc)(f"component {i}, length {cls.length}: {exc}") from exc
-    workers = min(threads, config.frames, os.cpu_count() or 1)
-
-    def run(frames: range) -> list[list[int]]:
-        return _run_frames(ncode, key, config, method, frames)
-
-    if workers == 1:
-        results = [run(range(config.frames))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(run, (range(w, config.frames, workers) for w in range(workers)))
-            )
-    totals = [list(map(sum, zip(*per_worker))) for per_worker in zip(*results)]
     carrier_set = set(key.carrier_indices)
     stats = tuple(
         ComponentStats(
@@ -327,7 +297,7 @@ def run_simulation(
             undetected=c[2],
             corrected=c[3] if idx + 1 in carrier_set else None,
         )
-        for idx, c in enumerate(totals)
+        for idx, c in enumerate(counts)
     )
     return SimulationResult(
         flip_probability=config.flip_probability,

@@ -41,7 +41,7 @@ from .channel import (
 )
 from .core import LengthClass, SetCode
 from .decoding import ACCEPTED, CORRECTED, METHODS
-from .errors import SetCodeError
+from .errors import ArityMismatch, SetCodeError
 from .gf2 import Word
 from .ncode import NWord, SetNCode, is_complementing_bicode, parse_nword
 
@@ -159,12 +159,11 @@ def _cmd_classify(args) -> int:
     for i, comp in enumerate(ncode.components, start=1):
         print(f"component {i}: " + ", ".join(comp.classify()))
     labels = list(ncode.classify())
-    if ncode.arity == 2 and len(ncode.components[0].classes) == len(
-        ncode.components[1].classes
-    ):
-        verdict = is_complementing_bicode(ncode)
-        if verdict.ok:
+    try:
+        if is_complementing_bicode(ncode).ok:
             labels.append("complementing")
+    except ArityMismatch:
+        pass  # not a bicode, or class counts differ: not complementing
     print("overall: " + ", ".join(labels))
     return 0
 
@@ -232,13 +231,17 @@ def _cmd_dual(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _, ncode = load_code_file(args.file)
-    key = ObfuscationKey(tuple(int(t) for t in args.carriers.split(",")))
+    try:
+        carriers = tuple(int(t) for t in args.carriers.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--carriers needs a comma list of integers, got {args.carriers!r}"
+        ) from None
+    key = ObfuscationKey(carriers)
     config = ChannelConfig(
         flip_probability=args.flip_prob, seed=args.seed, frames=args.frames
     )
-    result = run_simulation(
-        ncode, key, config, method=args.method, threads=args.threads
-    )
+    result = run_simulation(ncode, key, config, method=args.method)
     print(format_simulation(result))
     return 0
 
@@ -283,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=METHODS, default="coset")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     return parser

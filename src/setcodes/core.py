@@ -23,13 +23,10 @@ from .errors import (
 from .gf2 import Matrix, Word
 
 
-def pseudo_inner(a: Word, b: Word) -> int:
-    """Mod-2 pairing of two words of equal length.
-
-    Bilinear and symmetric, but a nonzero word of even weight pairs to zero
-    with itself, so this is not positive definite.
-    """
-    return gf2.dot(a, b)
+# The mod-2 pairing of two words of equal length. It is bilinear and
+# symmetric, but a nonzero word of even weight pairs to zero with itself, so
+# it is not positive definite.
+pseudo_inner = gf2.dot
 
 
 def is_standard_form(h: Matrix) -> bool:

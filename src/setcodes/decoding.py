@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import gf2
-from .core import LengthClass, pseudo_inner
+from .core import LengthClass
 from .errors import (
     EmptyBasis,
     LengthMismatch,
@@ -219,7 +219,7 @@ def pba_decode(received: Word, basis: Matrix) -> DecodeOutcome:
     out = gf2.zeros(len(received))
     summed = 0
     for b in basis:
-        if pseudo_inner(received, b):
+        if gf2.dot(received, b):
             out = gf2.xor(out, b)
             summed += 1
     if not any(out) and any(received):

@@ -10,10 +10,11 @@ import corpus
 from setcodes import channel
 from setcodes.channel import (
     ChannelConfig,
+    ComponentStats,
     ObfuscationKey,
+    SimulationResult,
     build_frame,
     corrupt,
-    expected_correction_rate,
     format_simulation,
     receive,
     run_simulation,
@@ -179,11 +180,6 @@ def test_receive_rejects_bad_frames():
         receive(nc, key, NWord((word("110110"),)))
 
 
-def test_expected_correction_rate_matches_closed_form():
-    rate = expected_correction_rate(corpus.REPEAT3_6_WORDS, 0.02)
-    assert rate == pytest.approx(0.941192, abs=1e-9)
-
-
 def test_counters_are_consistent():
     nc = decoy_ncode()
     key = ObfuscationKey((1,))
@@ -230,26 +226,40 @@ def test_thread_count_does_not_change_counts():
         run_simulation(nc, key, config, threads=0)
 
 
-def test_thread_pool_is_capped(monkeypatch):
-    started = []
-    real_pool = channel.ThreadPoolExecutor
+# (corrupted, detected, undetected, corrected) per component, seed 7,
+# p = 0.2, 300 frames; decoys have no corrected count.
+GOLDEN_COUNTS = {
+    ((1,), "coset"): ((220, 205, 15, 162), (241, 241, 0, None)),
+    ((1,), "nn"): ((220, 205, 15, 163), (241, 241, 0, None)),
+    ((1,), "pba"): ((220, 205, 15, 30), (241, 241, 0, None)),
+    ((1, 2), "coset"): ((220, 205, 15, 162), (241, 241, 0, 207)),
+    ((1, 2), "pba"): ((220, 205, 15, 30), (241, 241, 0, 34)),
+}
 
-    def recording_pool(max_workers):
-        started.append(max_workers)
-        return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(channel, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(channel.os, "cpu_count", lambda: 64)
+@pytest.mark.parametrize("carriers", [(1,), (1, 2)])
+@pytest.mark.parametrize("method", ["coset", "nn", "pba"])
+def test_simulation_counters_are_pinned(carriers, method):
     nc = decoy_ncode()
-    key = ObfuscationKey((1,))
-    config = ChannelConfig(0.1, 8, 8)
-    fanned = run_simulation(nc, key, config, threads=10**6)
-    assert started == [8]
-    monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)
-    assert run_simulation(nc, key, config, threads=10**6) == fanned
-    assert started == [8, 3]
-    assert run_simulation(nc, key, config, threads=1) == fanned
-    assert started == [8, 3]
+    key = ObfuscationKey(carriers)
+    config = ChannelConfig(0.2, 7, 300)
+    if (carriers, method) not in GOLDEN_COUNTS:
+        # The length-7 decoy has no k=, so nn cannot carry on it.
+        with pytest.raises(TieUnresolvable, match="component 2, length 7"):
+            run_simulation(nc, key, config, method=method)
+        return
+    expected = SimulationResult(
+        flip_probability=0.2,
+        seed=7,
+        frames=300,
+        method=method,
+        carrier_indices=carriers,
+        components=tuple(
+            ComponentStats(i, i in carriers, 300, *counts)
+            for i, counts in enumerate(GOLDEN_COUNTS[carriers, method], start=1)
+        ),
+    )
+    assert run_simulation(nc, key, config, method=method) == expected
 
 
 def nonlinear_decoy_ncode() -> SetNCode:

@@ -101,6 +101,15 @@ def test_classify_flags_complementing(tmp_path, capsys):
     assert "complementing" in out.splitlines()[-1]
 
 
+def test_classify_unequal_class_counts_is_not_complementing(capsys):
+    # Its components hold 2 and 3 classes, so the complementing test does
+    # not apply.
+    assert main(["classify", DISTANCE]) == 0
+    captured = capsys.readouterr()
+    assert "complementing" not in captured.out
+    assert captured.err == ""
+
+
 def test_encode(capsys):
     assert main(["encode", BLOCK, "101"]) == 0
     assert capsys.readouterr().out.strip() == "101101"
@@ -214,6 +223,20 @@ def test_simulate_rejects_bad_carriers(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(base + ["--carriers", "0"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    for carriers in ("1,x", ""):
+        assert main(base + ["--carriers", carriers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--carriers" in err
+
+
+def test_simulate_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "simulate", DECOY, "--carriers", "1", "--flip-prob", "0.02",
+            "--frames", "10", "--threads", "2",
+        ])
+    assert exc.value.code == 2
 
 
 def test_simulate_nn_needs_a_message_length(capsys):
