@@ -134,7 +134,7 @@ def build_frame(
             parts.append(w)
         else:
             parts.append(rng.choice(comp.sorted_words))
-    return NWord(tuple(parts))
+    return NWord._trusted(tuple(parts))
 
 
 def corrupt(nw: NWord, p: float, seed: int, frame: int) -> NWord:
@@ -173,7 +173,7 @@ def corrupt(nw: NWord, p: float, seed: int, frame: int) -> NWord:
             part = tuple(bits)
         skip -= n
         parts.append(part)
-    return NWord(tuple(parts))
+    return NWord._trusted(tuple(parts))
 
 
 def receive(

@@ -4,6 +4,9 @@ A set code is organized as one class per word length. A class may carry an
 optional parity check matrix and an optional message length k. Nothing here
 assumes the words form a subspace; the predicates that need closure test for
 it explicitly.
+
+A class keeps its words and check columns packed into ints (see gf2) for its
+hot paths; every public value stays a tuple.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import gf2
 from .errors import (
+    DimensionMismatch,
     DuplicateLength,
     MissingParityCheck,
     NoParityCheck,
@@ -97,13 +101,20 @@ def repetition_check(n: int) -> Matrix | None:
 
 @dataclass(frozen=True)
 class LengthClass:
-    """All the words of one length, with an optional check matrix and k."""
+    """All the words of one length, with an optional check matrix and k.
+
+    Derived, not compared: _word_of maps each packed word, in increasing
+    order, to its tuple; _array is the standard array decoding keeps here.
+    """
 
     length: int
     words: tuple[Word, ...]
     check: Matrix | None = None
     message_length: int | None = None
     _word_set: frozenset[Word] = field(init=False, repr=False, compare=False)
+    _word_of: dict[int, Word] = field(init=False, repr=False, compare=False)
+    _columns: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _array: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -121,17 +132,21 @@ class LengthClass:
                 raise ValueError("words must be binary")
         object.__setattr__(self, "words", canon)
         object.__setattr__(self, "_word_set", word_set)
+        object.__setattr__(self, "_word_of", {gf2.pack(w): w for w in canon})
+        columns = None
         if self.check is not None:
             check = tuple(tuple(r) for r in self.check)
             for row in check:
                 if len(row) != self.length:
                     raise ValueError("check matrix width must equal the class length")
             object.__setattr__(self, "check", check)
+            columns = gf2.column_masks(check)
             for w in canon:
-                if any(gf2.matvec(check, w)):
+                if gf2.syndrome(columns, w):
                     raise ParityViolation(
                         f"word {gf2.render(w)} fails the class parity check"
                     )
+        object.__setattr__(self, "_columns", columns)
         if self.message_length is not None and not (
             1 <= self.message_length < self.length
         ):
@@ -140,18 +155,23 @@ class LengthClass:
     def contains(self, w: Word) -> bool:
         return tuple(w) in self._word_set
 
-    def syndrome(self, received: Word) -> Word:
-        if self.check is None:
+    def _syndrome(self, received: Word) -> int:
+        if self._columns is None:
             raise NoParityCheck(f"length {self.length} class has no parity check")
-        return gf2.matvec(self.check, received)
+        if len(received) != self.length:
+            raise DimensionMismatch(f"{len(received)} bits for {self.length} columns")
+        return gf2.syndrome(self._columns, received)
+
+    def syndrome(self, received: Word) -> Word:
+        return gf2.unpack(self._syndrome(received), len(self.check))
 
     def detect(self, received: Word) -> bool:
         """True when no error is flagged.
 
         Uses the parity check when one is attached, membership otherwise.
         """
-        if self.check is not None:
-            return not any(self.syndrome(received))
+        if self._columns is not None:
+            return not self._syndrome(received)
         return self.contains(received)
 
     def is_linear(self) -> bool:

@@ -8,7 +8,7 @@ prepare checks up front what a method needs of a class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import gf2
 from .core import LengthClass
@@ -58,7 +58,8 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
         )
     if cls.contains(received):
         return DecodeOutcome(ACCEPTED, received, "nn")
-    best, candidates = _nearest(received, cls.words)
+    r = gf2.pack(received)
+    best, candidates = _nearest(r, cls._word_of)
     trace = [f"distance {best}"]
     if len(candidates) > 1:
         k = cls.message_length
@@ -66,28 +67,20 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
             raise TieUnresolvable(
                 f"{len(candidates)} words at distance {best} and no message length"
             )
-        msg_best, candidates = _nearest(received[:k], candidates, k)
+        msg_best, candidates = _nearest(r, candidates, cls.length - k)
         trace.append(f"message tie break over {k} symbols, distance {msg_best}")
         if len(candidates) > 1:
             trace.append(f"ambiguous among {len(candidates)}, smallest kept")
-    return DecodeOutcome(CORRECTED, min(candidates), "nn", tuple(trace))
+    # Packed order is word order, so the least int is the least word.
+    return DecodeOutcome(CORRECTED, cls._word_of[min(candidates)], "nn", tuple(trace))
 
 
-def _nearest(
-    received: Word, words, prefix: int | None = None
-) -> tuple[int, list[Word]]:
-    """Least distance to received, over the first prefix coordinates when
-    given, and the words at it in their given order; one distance per word."""
-    best = None
-    nearest: list[Word] = []
-    for w in words:
-        d = gf2.distance(received, w if prefix is None else w[:prefix])
-        if best is None or d < best:
-            best = d
-            nearest = [w]
-        elif d == best:
-            nearest.append(w)
-    return best, nearest
+def _nearest(r: int, words, shift: int = 0) -> tuple[int, list[int]]:
+    """Least distance from the packed word r to the packed words, over all
+    but the last shift coordinates, and the words at it in their given order."""
+    dists = [((r ^ v) >> shift).bit_count() for v in words]
+    best = min(dists)
+    return best, [v for v, d in zip(words, dists) if d == best]
 
 
 @dataclass(frozen=True)
@@ -97,13 +90,20 @@ class StandardArray:
     check is derived internally from the words, so its syndromes separate
     exactly the cosets. leaders maps each syndrome to the chosen minimum
     weight coset member; weight ties break toward the lexicographically
-    largest word.
+    largest word. decode reads it keyed by packed syndromes instead.
     """
 
     length: int
     words: tuple[Word, ...]
     check: Matrix
     leaders: dict[Word, Word]
+    _columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _leader_of: dict[int, Word] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_columns", gf2.column_masks(self.check))
+        table = {gf2.pack(s): l for s, l in self.leaders.items()}
+        object.__setattr__(self, "_leader_of", table)
 
     @property
     def cosets(self) -> dict[Word, tuple[Word, ...]]:
@@ -138,10 +138,10 @@ class StandardArray:
             raise LengthMismatch(
                 f"received length {len(received)}, array length {self.length}"
             )
-        syn = gf2.matvec(self.check, received)
-        leader = self.leaders[syn]
-        if not any(leader):
+        syn = gf2.syndrome(self._columns, received)
+        if not syn:  # the class itself, led by the zero word
             return DecodeOutcome(ACCEPTED, received, "coset")
+        leader = self._leader_of[syn]
         return DecodeOutcome(
             CORRECTED,
             gf2.xor(received, leader),
@@ -171,8 +171,7 @@ def build_standard_array(words) -> StandardArray:
     return StandardArray(length=n, words=ws, check=check, leaders=leaders)
 
 
-# One array per distinct word set; concurrent builders may race but produce
-# identical values, so a plain dict stays safe under the interpreter lock.
+# One array per distinct word set.
 _ARRAY_CACHE: dict[frozenset[Word], StandardArray] = {}
 
 
@@ -190,15 +189,16 @@ def standard_array(words) -> StandardArray:
 
 
 def clear_array_cache() -> None:
+    """Empty the cache; arrays that classes already keep stay with them."""
     _ARRAY_CACHE.clear()
 
 
 def coset_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
-    """Decode against the cached standard array of the class words.
-
-    The class's own frozenset is the cache key, so its hash is computed once.
-    """
-    return standard_array(cls._word_set).decode(received)
+    """Decode against the standard array of the class words, which the class
+    keeps after the first call, so later calls never hash its word set."""
+    if cls._array is None:
+        object.__setattr__(cls, "_array", standard_array(cls._word_set))
+    return cls._array.decode(received)
 
 
 def pba_decode(received: Word, basis: Matrix) -> DecodeOutcome:

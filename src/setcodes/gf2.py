@@ -5,11 +5,17 @@ leftmost entry, so tuple index i holds coordinate i + 1. Matrices are tuples
 of row tuples. Everything is immutable so words can be dict keys and set
 members.
 
+Hot paths inside the package also read words packed into ints (pack), with
+coordinate 1 the most significant bit so int order is tuple order, and check
+matrices as column masks; every value the package hands out stays a tuple.
+
 Polynomials over GF(2) are coefficient tuples with index i holding the
 coefficient of x**i (lowest degree first).
 """
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
 from operator import and_, ne
 from operator import xor as _add_bits
 
@@ -38,6 +44,19 @@ def word(bits: str) -> Word:
 def render(w: Word) -> str:
     """Render a word back to a bitstring."""
     return "".join(str(b) for b in w)
+
+
+def pack(w: Word) -> int:
+    """The word as an int, coordinate 1 in the most significant of len(w) bits."""
+    x = 0
+    for b in w:
+        x = x << 1 | b
+    return x
+
+
+def unpack(x: int, n: int) -> Word:
+    """The length-n word whose packed int is x; the inverse of pack."""
+    return tuple(x >> (n - 1 - i) & 1 for i in range(n))
 
 
 def zeros(n: int) -> Word:
@@ -97,6 +116,16 @@ def matvec(m: Matrix, v: Word) -> Word:
                 f"matrix row has {len(row)} columns, vector has {len(v)}"
             )
     return tuple(sum(map(and_, row, v)) & 1 for row in m)
+
+
+def column_masks(m: Matrix) -> tuple[int, ...]:
+    """Each column of m packed into an int, row 1 most significant."""
+    return tuple(map(pack, zip(*m)))
+
+
+def syndrome(columns: tuple[int, ...], v: Word) -> int:
+    """pack(matvec(m, v)) from the column masks of m; v must fit m."""
+    return reduce(_add_bits, compress(columns, v), 0)
 
 
 def vecmat(v: Word, m: Matrix) -> Word:

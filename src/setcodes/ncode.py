@@ -41,6 +41,13 @@ class NWord:
                 raise ValueError("parts must be nonempty binary words")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[Word | None, ...]) -> NWord:
+        """Unchecked: for parts that are codewords or bit flips of them."""
+        nw = object.__new__(cls)
+        object.__setattr__(nw, "parts", parts)
+        return nw
+
     @property
     def arity(self) -> int:
         return len(self.parts)

@@ -86,6 +86,8 @@ def test_build_frame_rejects_bad_payload():
         build_frame(nc, key, (word("101100"),), seed=9, frame=0)
     with pytest.raises(NotACodeword):
         build_frame(nc, key, (word("10110"),), seed=9, frame=0)
+    with pytest.raises(NotACodeword):
+        build_frame(nc, key, ((1, 0, 2, 1, 0, 1),), seed=9, frame=0)
     with pytest.raises(PatternMismatch):
         build_frame(nc, key, (word("101101"), word("101101")), seed=9, frame=0)
 
@@ -100,6 +102,22 @@ def test_corrupt_is_deterministic_and_quiet_at_zero():
     for p in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             corrupt(nw, p, seed=3, frame=5)
+
+
+def test_frame_parts_are_binary_words_of_their_length():
+    # build_frame and corrupt build their n-words without the NWord checks.
+    nc = SetNCode(decoy_ncode().components + (SetCode((repetition_class(5),)),))
+    key = ObfuscationKey((1, 3))
+    lengths = (6, 7, 5)
+    for seed in range(300):
+        sent = build_frame(nc, key, ([1, 0, 1, 1, 0, 1], word("11111")), seed, seed)
+        holey = NWord((sent.parts[0], None, sent.parts[2]))
+        for nw in (sent, corrupt(sent, 0.3, seed, seed), corrupt(holey, 0.3, seed, seed)):
+            assert type(nw.parts) is tuple and len(nw.parts) == 3
+            for part, n in zip(nw.parts, lengths):
+                assert part is None or (
+                    type(part) is tuple and len(part) == n and set(part) <= {0, 1}
+                )
 
 
 def within_five_sigma(counts, trials: int, p: float) -> bool:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import corpus
 from setcodes import gf2
+from test_gf2 import matrices
 from setcodes.core import (
     LengthClass,
     SetCode,
@@ -24,6 +25,7 @@ from setcodes.core import (
     repetition_class,
 )
 from setcodes.errors import (
+    DimensionMismatch,
     DuplicateLength,
     MissingParityCheck,
     NoParityCheck,
@@ -135,6 +137,18 @@ def test_detect_uses_check_when_attached():
     assert checked.detect(probe)
     assert not bare.detect(probe)
     assert not checked.detect(word("100000"))
+
+
+@given(matrices(max_rows=4, max_cols=8))
+def test_packed_syndrome_matches_matvec(check):
+    n = len(check[0])
+    cls = LengthClass(n, (gf2.zeros(n),), check=check)
+    for received in gf2.all_words(n):
+        want = gf2.matvec(check, received)
+        assert cls.syndrome(received) == want
+        assert cls.detect(received) == (not any(want))
+    with pytest.raises(DimensionMismatch):
+        cls.detect(gf2.zeros(n + 1))
 
 
 def test_syndrome_needs_a_check():

@@ -1,7 +1,11 @@
 """Nearest-neighbour, standard-array, and projection decoding."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from setcodes import gf2
@@ -21,9 +25,11 @@ from setcodes.errors import (
     EmptyBasis,
     LengthMismatch,
     NotLinear,
+    SetCodeError,
     TieUnresolvable,
 )
 from setcodes.gf2 import word
+from test_core import word_sets
 
 
 def test_nn_accepts_members():
@@ -99,6 +105,76 @@ def test_nn_reference_ties_without_message_length():
         else:
             assert nn_decode(cls, received) == want
     assert ties > 0
+
+
+BCH_15_7_POLY = (1, 0, 0, 0, 1, 0, 1, 1, 1)  # 1 + x^4 + x^6 + x^7 + x^8
+
+# sha256 over every outcome (or error type) of every decoder on every received
+# word of the classes in _pinned_decodes; taken before the decoders read packed
+# ints, so any change to a decoded word, status or trace shows here.
+PINNED_DECODE_DIGEST = "bcf367b2c2e5058512aa5711b2bd8f95a5c4e3ed79441e12633425f17500da97"
+
+
+def _pinned_decodes() -> str:
+    classes = (
+        cyclic_code(BCH_15_7_POLY, 15),
+        cyclic_code((1, 1, 0, 1), 7),
+        corpus.repeat3_6_class(),
+        LengthClass(7, corpus.NN_TRIO_WORDS, message_length=4),
+        LengthClass(7, corpus.NN_TRIO_WORDS),
+    )
+    digest = hashlib.sha256()
+    for cls in classes:
+        try:
+            basis = cls.basis()
+        except NotLinear:
+            basis = None  # pba_decode_with_retry(w, cls.basis()) raises NotLinear
+        for received in gf2.all_words(cls.length):
+            for decode in (
+                lambda w: nn_decode(cls, w),
+                lambda w: coset_decode(cls, w),
+                lambda w: pba_decode_with_retry(w, basis) if basis else cls.basis(),
+            ):
+                try:
+                    out = decode(received)
+                except SetCodeError as exc:
+                    line = type(exc).__name__
+                else:
+                    line = repr((out.status, out.word, out.method, out.trace))
+                digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_every_decode_is_pinned():
+    assert _pinned_decodes() == PINNED_DECODE_DIGEST
+
+
+def matvec_lookup(arr, received):
+    """Reference coset decode: the leader of the tuple syndrome from matvec."""
+    leader = arr.leaders[gf2.matvec(arr.check, received)]
+    if not any(leader):
+        return DecodeOutcome("Accepted", received, "coset")
+    trace = (f"leader {gf2.render(leader)}",)
+    return DecodeOutcome("Corrected", gf2.xor(received, leader), "coset", trace)
+
+
+@settings(deadline=None)
+@given(word_sets(max_len=8), st.data())
+def test_packed_decoders_match_tuple_references(ws, data):
+    n = len(ws[0])
+    k = data.draw(st.none() | st.integers(1, n - 1)) if n > 1 else None
+    cls = LengthClass(n, ws, message_length=k)
+    arr = build_standard_array(ws) if cls.is_linear() else None
+    for received in gf2.all_words(n):
+        try:
+            want = two_pass_nn(cls, received)
+        except TieUnresolvable:
+            with pytest.raises(TieUnresolvable):
+                nn_decode(cls, received)
+        else:
+            assert nn_decode(cls, received) == want
+        if arr is not None:
+            assert arr.decode(received) == matvec_lookup(arr, received)
 
 
 def test_nn_length_mismatch():

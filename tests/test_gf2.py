@@ -72,8 +72,17 @@ def test_xor_associates_and_commutes(triple):
 def test_distance_is_weight_of_sum(pair):
     a, b = pair
     assert gf2.distance(a, b) == gf2.weight(gf2.xor(a, b))
+    assert gf2.distance(a, b) == (gf2.pack(a) ^ gf2.pack(b)).bit_count()
     assert gf2.distance(a, b) == gf2.distance(b, a)
     assert gf2.distance(a, a) == 0
+
+
+@given(same_length(count=2))
+def test_pack_round_trips_and_keeps_word_order(pair):
+    a, b = pair
+    assert gf2.unpack(gf2.pack(a), len(a)) == a
+    assert (gf2.pack(a) < gf2.pack(b)) == (a < b)
+    assert gf2.pack(a) >> len(a) - 1 == a[0]
 
 
 @given(same_length(count=3))

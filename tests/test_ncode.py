@@ -25,6 +25,8 @@ def test_nword_validation():
         NWord(((),))
     with pytest.raises(ValueError):
         NWord(((0, 2, 1),))
+    with pytest.raises(ValueError):
+        NWord((word("110"), (0, 2), None))
 
 
 def test_nword_arity_and_presence():
