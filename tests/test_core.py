@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import corpus
 from setcodes import gf2
-from test_gf2 import matrices
 from setcodes.core import (
     LengthClass,
     SetCode,
@@ -37,6 +36,7 @@ from setcodes.errors import (
 )
 from setcodes.decoding import build_standard_array
 from setcodes.gf2 import word
+from test_gf2 import matrices
 
 
 def test_pseudo_inner_is_not_definite():

@@ -110,8 +110,8 @@ def test_nn_reference_ties_without_message_length():
 BCH_15_7_POLY = (1, 0, 0, 0, 1, 0, 1, 1, 1)  # 1 + x^4 + x^6 + x^7 + x^8
 
 # sha256 over every outcome (or error type) of every decoder on every received
-# word of the classes in _pinned_decodes; taken before the decoders read packed
-# ints, so any change to a decoded word, status or trace shows here.
+# word of the classes in _pinned_decodes, taken from the tuple-based decoders,
+# so any change to a decoded word, status or trace shows here.
 PINNED_DECODE_DIGEST = "bcf367b2c2e5058512aa5711b2bd8f95a5c4e3ed79441e12633425f17500da97"
 
 
