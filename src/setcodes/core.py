@@ -128,7 +128,7 @@ class LengthClass:
                 raise ValueError(
                     f"word {gf2.render(w)} does not have length {self.length}"
                 )
-            if any(b not in (0, 1) for b in w):
+            if not gf2.is_binary(w):
                 raise ValueError("words must be binary")
         object.__setattr__(self, "words", canon)
         object.__setattr__(self, "_word_set", word_set)
@@ -163,7 +163,7 @@ class LengthClass:
         return gf2.syndrome(self._columns, received)
 
     def syndrome(self, received: Word) -> Word:
-        return gf2.unpack(self._syndrome(received), len(self.check))
+        return gf2.unpack(self._syndrome(gf2.as_word(received)), len(self.check))
 
     def detect(self, received: Word) -> bool:
         """True when no error is flagged.

@@ -51,7 +51,7 @@ def nn_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
     Any tie still left picks the lexicographically smallest candidate and
     says so in the trace.
     """
-    received = tuple(received)
+    received = gf2.as_word(received)
     if len(received) != cls.length:
         raise LengthMismatch(
             f"received length {len(received)}, class length {cls.length}"
@@ -88,26 +88,29 @@ class StandardArray:
     """Cosets of a linear class inside its whole word space.
 
     check is derived internally from the words, so its syndromes separate
-    exactly the cosets. leaders maps each syndrome to the chosen minimum
-    weight coset member; weight ties break toward the lexicographically
-    largest word. decode reads it keyed by packed syndromes instead.
+    exactly the cosets. leader_of maps each packed syndrome (gf2.syndrome) to
+    the chosen minimum weight coset member; weight ties break toward the
+    lexicographically largest word. leaders and cosets are keyed by tuple
+    syndromes and computed from it on each access.
     """
 
     length: int
     words: tuple[Word, ...]
     check: Matrix
-    leaders: dict[Word, Word]
+    leader_of: dict[int, Word]
     _columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _leader_of: dict[int, Word] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_columns", gf2.column_masks(self.check))
-        table = {gf2.pack(s): l for s, l in self.leaders.items()}
-        object.__setattr__(self, "_leader_of", table)
+
+    @property
+    def leaders(self) -> dict[Word, Word]:
+        r = len(self.check)
+        return {gf2.unpack(s, r): l for s, l in self.leader_of.items()}
 
     @property
     def cosets(self) -> dict[Word, tuple[Word, ...]]:
-        """Every coset, sorted, keyed by syndrome; computed on each access."""
+        """Every coset, sorted, keyed by syndrome."""
         return {
             syn: tuple(sorted(gf2.xor(leader, w) for w in self.words))
             for syn, leader in self.leaders.items()
@@ -115,25 +118,25 @@ class StandardArray:
 
     @property
     def coset_count(self) -> int:
-        return len(self.leaders)
+        return len(self.leader_of)
 
     @property
     def coset_size(self) -> int:
         return len(self.words)
 
     def leader_weights(self) -> tuple[int, ...]:
-        return tuple(sorted(gf2.weight(l) for l in self.leaders.values()))
+        return tuple(sorted(gf2.weight(l) for l in self.leader_of.values()))
 
     def expected_correction_rate(self, p: float) -> float:
         """Chance a memoryless bit-flip pattern is exactly a chosen leader."""
         n = self.length
         return sum(
             p ** gf2.weight(l) * (1 - p) ** (n - gf2.weight(l))
-            for l in self.leaders.values()
+            for l in self.leader_of.values()
         )
 
     def decode(self, received: Word) -> DecodeOutcome:
-        received = tuple(received)
+        received = gf2.as_word(received)
         if len(received) != self.length:
             raise LengthMismatch(
                 f"received length {len(received)}, array length {self.length}"
@@ -141,7 +144,7 @@ class StandardArray:
         syn = gf2.syndrome(self._columns, received)
         if not syn:  # the class itself, led by the zero word
             return DecodeOutcome(ACCEPTED, received, "coset")
-        leader = self._leader_of[syn]
+        leader = self.leader_of[syn]
         return DecodeOutcome(
             CORRECTED,
             gf2.xor(received, leader),
@@ -158,17 +161,15 @@ def build_standard_array(words) -> StandardArray:
         raise NotLinear("standard array needs words closed under addition with zero")
     n = len(ws[0])
     check = gf2.nullspace_basis(basis, ncols=n)
-    leaders: dict[Word, Word] = {}
+    columns = gf2.column_masks(check)
+    leader_of: dict[int, Word] = {}
+    # Words come in increasing order, so an equal weight later word is larger.
     for w in gf2.all_words(n):
-        syn = gf2.matvec(check, w)
-        cur = leaders.get(syn)
-        if (
-            cur is None
-            or gf2.weight(w) < gf2.weight(cur)
-            or (gf2.weight(w) == gf2.weight(cur) and w > cur)
-        ):
-            leaders[syn] = w
-    return StandardArray(length=n, words=ws, check=check, leaders=leaders)
+        syn = gf2.syndrome(columns, w)
+        cur = leader_of.get(syn)
+        if cur is None or gf2.weight(w) <= gf2.weight(cur):
+            leader_of[syn] = w
+    return StandardArray(length=n, words=ws, check=check, leader_of=leader_of)
 
 
 # One array per distinct word set.
@@ -176,15 +177,11 @@ _ARRAY_CACHE: dict[frozenset[Word], StandardArray] = {}
 
 
 def standard_array(words) -> StandardArray:
-    """The cached array of a word set; a frozenset of tuples is the key as is."""
-    if isinstance(words, frozenset):
-        key = words
-    else:
-        key = frozenset(tuple(w) for w in words)
+    """The cached array of a word set."""
+    key = frozenset(tuple(w) for w in words)
     hit = _ARRAY_CACHE.get(key)
     if hit is None:
-        hit = build_standard_array(words)
-        _ARRAY_CACHE[key] = hit
+        hit = _ARRAY_CACHE[key] = build_standard_array(key)
     return hit
 
 
@@ -197,7 +194,7 @@ def coset_decode(cls: LengthClass, received: Word) -> DecodeOutcome:
     """Decode against the standard array of the class words, which the class
     keeps after the first call, so later calls never hash its word set."""
     if cls._array is None:
-        object.__setattr__(cls, "_array", standard_array(cls._word_set))
+        object.__setattr__(cls, "_array", standard_array(cls.words))
     return cls._array.decode(received)
 
 
@@ -207,7 +204,7 @@ def pba_decode(received: Word, basis: Matrix) -> DecodeOutcome:
     The projection of a nonzero word can collapse to zero because the pairing
     is not definite; that is reported as Failed rather than decoded.
     """
-    received = tuple(received)
+    received = gf2.as_word(received)
     basis = tuple(tuple(b) for b in basis)
     if not basis:
         raise EmptyBasis("projection needs at least one basis word")
@@ -229,22 +226,22 @@ def pba_decode(received: Word, basis: Matrix) -> DecodeOutcome:
     return DecodeOutcome(status, out, "pba", (f"summed {summed} basis words",))
 
 
-def pba_decode_with_retry(
-    received: Word, basis: Matrix, budget: int = 8
-) -> DecodeOutcome:
+# Projections pba_decode_with_retry tries on one received word.
+PBA_BUDGET = 8
+
+
+def pba_decode_with_retry(received: Word, basis: Matrix) -> DecodeOutcome:
     """Retry a failed projection with deterministic basis changes.
 
     Each retry adds one basis word into another, which keeps the span while
-    moving the projection. Gives up after budget attempts.
+    moving the projection. Gives up after PBA_BUDGET attempts.
     """
     basis = [tuple(b) for b in basis]
     outcome = pba_decode(received, tuple(basis))
     attempt = 1
-    while outcome.status == FAILED and attempt < budget and len(basis) > 1:
+    while outcome.status == FAILED and attempt < PBA_BUDGET and len(basis) > 1:
         i = (attempt - 1) % len(basis)
-        j = attempt % len(basis)
-        if i != j:
-            basis[i] = gf2.xor(basis[i], basis[j])
+        basis[i] = gf2.xor(basis[i], basis[attempt % len(basis)])
         outcome = pba_decode(received, tuple(basis))
         attempt += 1
     if outcome.status == FAILED:
@@ -275,4 +272,4 @@ def prepare(cls: LengthClass, method: str) -> None:
             f"class of {len(cls.words)} words has no message length to break nn ties"
         )
     if method == "coset":
-        standard_array(cls._word_set)
+        standard_array(cls.words)

@@ -41,6 +41,22 @@ def word(bits: str) -> Word:
     return tuple(int(c) for c in bits)
 
 
+_BITS = frozenset((0, 1))
+
+
+def as_word(w) -> Word:
+    """w as a tuple; ValueError unless each entry equals 0 or 1, as bools do."""
+    w = tuple(w)
+    if not _BITS.issuperset(w):
+        raise ValueError("words must be binary")
+    return w
+
+
+def is_binary(w) -> bool:
+    """Every entry of w is the int 0 or 1; bools and floats are not bits."""
+    return _BITS.issuperset(w) and {int}.issuperset(map(type, w))
+
+
 def render(w: Word) -> str:
     """Render a word back to a bitstring."""
     return "".join(str(b) for b in w)
@@ -218,13 +234,13 @@ def nullspace_basis(m: Matrix, ncols: int | None = None) -> Matrix:
     return tuple(basis)
 
 
-def span(basis: Matrix, cap: int = SPAN_CAP) -> frozenset[Word]:
+def span(basis: Matrix) -> frozenset[Word]:
     """All GF(2) combinations of the basis rows.
 
-    Raises CapExceeded rather than materializing more than 2**cap words.
+    Raises CapExceeded rather than materializing more than 2**SPAN_CAP words.
     """
-    if len(basis) > cap:
-        raise CapExceeded(f"span of {len(basis)} rows exceeds 2**{cap} words")
+    if len(basis) > SPAN_CAP:
+        raise CapExceeded(f"span of {len(basis)} rows exceeds 2**{SPAN_CAP} words")
     if not basis:
         return frozenset()
     n = len(basis[0])
@@ -238,10 +254,10 @@ def span(basis: Matrix, cap: int = SPAN_CAP) -> frozenset[Word]:
     return frozenset(out)
 
 
-def all_words(n: int, cap: int = SPAN_CAP) -> list[Word]:
+def all_words(n: int) -> list[Word]:
     """Every word of length n, in increasing lexicographic order."""
-    if n > cap:
-        raise CapExceeded(f"2**{n} words exceeds 2**{cap}")
+    if n > SPAN_CAP:
+        raise CapExceeded(f"2**{n} words exceeds 2**{SPAN_CAP}")
     return [tuple(x >> (n - 1 - i) & 1 for i in range(n)) for x in range(1 << n)]
 
 

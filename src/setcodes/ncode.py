@@ -37,7 +37,7 @@ class NWord:
         if all(p is None for p in parts):
             raise ValueError("an n-word needs at least one present part")
         for p in parts:
-            if p is not None and (not p or any(b not in (0, 1) for b in p)):
+            if p is not None and (not p or not gf2.is_binary(p)):
                 raise ValueError("parts must be nonempty binary words")
         object.__setattr__(self, "parts", parts)
 
@@ -197,10 +197,10 @@ def is_complementing_bicode(ncode: SetNCode) -> ComplementKind:
     for pos, (a, b) in enumerate(zip(first.classes, second.classes), start=1):
         if a.length != b.length:
             return ComplementKind(False, (f"position {pos}: lengths differ",))
-        primal = gf2.row_basis(a.words)
-        if not primal:
+        columns = gf2.column_masks(gf2.row_basis(a.words))
+        if not columns:
             notes.append(f"position {pos}: dual is the full space")
             continue
-        if any(any(gf2.matvec(primal, w)) for w in b.words):
+        if any(gf2.syndrome(columns, w) for w in b.words):
             return ComplementKind(False, tuple(notes))
     return ComplementKind(True, tuple(notes))

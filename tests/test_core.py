@@ -117,6 +117,10 @@ def test_length_class_validation():
     with pytest.raises(ValueError):
         LengthClass(3, ((0, 2, 0),))
     with pytest.raises(ValueError):
+        LengthClass(2, ((True, False), (0, 0)))
+    with pytest.raises(ValueError):
+        LengthClass(2, ((1.0, 0), (0, 0)))
+    with pytest.raises(ValueError):
         LengthClass(0, ())
     with pytest.raises(ValueError):
         LengthClass(3, (word("000"),), check=((1, 0),))

@@ -158,6 +158,18 @@ def matvec_lookup(arr, received):
     return DecodeOutcome("Corrected", gf2.xor(received, leader), "coset", trace)
 
 
+def brute_force_leaders(arr):
+    """Each coset's least weight member, the lexicographically largest among
+    equals, keyed by the matvec syndrome."""
+    cosets = {}
+    for w in gf2.all_words(arr.length):
+        cosets.setdefault(gf2.matvec(arr.check, w), []).append(w)
+    return {
+        syn: max(members, key=lambda w: (-gf2.weight(w), w))
+        for syn, members in cosets.items()
+    }
+
+
 @settings(deadline=None)
 @given(word_sets(max_len=8), st.data())
 def test_packed_decoders_match_tuple_references(ws, data):
@@ -165,6 +177,8 @@ def test_packed_decoders_match_tuple_references(ws, data):
     k = data.draw(st.none() | st.integers(1, n - 1)) if n > 1 else None
     cls = LengthClass(n, ws, message_length=k)
     arr = build_standard_array(ws) if cls.is_linear() else None
+    if arr is not None:
+        assert arr.leaders == brute_force_leaders(arr)
     for received in gf2.all_words(n):
         try:
             want = two_pass_nn(cls, received)
@@ -175,6 +189,24 @@ def test_packed_decoders_match_tuple_references(ws, data):
             assert nn_decode(cls, received) == want
         if arr is not None:
             assert arr.decode(received) == matvec_lookup(arr, received)
+
+
+HAMMING_7_4 = cyclic_code((1, 1, 0, 1), 7)
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda w: nn_decode(HAMMING_7_4, w),
+        lambda w: coset_decode(HAMMING_7_4, w),
+        lambda w: pba_decode(w, HAMMING_7_4.basis()),
+        HAMMING_7_4.syndrome,
+    ],
+    ids=["nn", "coset", "pba", "syndrome"],
+)
+def test_decoders_reject_non_binary_words(decode):
+    with pytest.raises(ValueError, match="words must be binary"):
+        decode((2, 0, 0, 0, 0, 0, 1))
 
 
 def test_nn_length_mismatch():

@@ -186,12 +186,17 @@ def test_span_counts_and_contains_rows(m):
         assert sp == frozenset()
 
 
-def test_span_and_all_words_respect_cap():
+def test_span_and_all_words_respect_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         gf2.span(gf2.identity(25))
     with pytest.raises(CapExceeded):
         gf2.all_words(25)
-    assert gf2.span(gf2.identity(3), cap=3) == frozenset(gf2.all_words(3))
+    monkeypatch.setattr(gf2, "SPAN_CAP", 3)
+    assert gf2.span(gf2.identity(3)) == frozenset(gf2.all_words(3))
+    with pytest.raises(CapExceeded):
+        gf2.span(gf2.identity(4))
+    with pytest.raises(CapExceeded):
+        gf2.all_words(4)
 
 
 def test_all_words_orders_lexicographically():

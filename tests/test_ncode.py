@@ -27,6 +27,10 @@ def test_nword_validation():
         NWord(((0, 2, 1),))
     with pytest.raises(ValueError):
         NWord((word("110"), (0, 2), None))
+    with pytest.raises(ValueError):
+        NWord(((True, 0),))
+    with pytest.raises(ValueError):
+        NWord(((1.0, 0),))
 
 
 def test_nword_arity_and_presence():
